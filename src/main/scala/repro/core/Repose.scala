@@ -1,17 +1,19 @@
 package repro.core
 
+import scala.collection.mutable
+
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
 
 import repro.core.partition._
-import repro.core.rptrie.{RPTrie, SuccinctRPTrie, TrieAccess}
+import repro.core.rptrie.RPTrie
 import repro.core.search.LocalSearch
 
 /** A partition's packaged data + local index — the paper's
   * `case class RpTraj(trajectory: Array, Index: RP-Trie)` (§V-C).
   */
-final case class RpTraj(trajs: Array[Trajectory], index: TrieAccess)
+final case class RpTraj(trajs: Array[Trajectory], index: RPTrie)
 
 /** Configuration of the REPOSE framework (§VII defaults: N_p = 5, optimized
   * trie on, 64 partitions on the 16×4-core cluster — here sized for local[*]).
@@ -23,7 +25,6 @@ final case class ReposeConfig(
     numPartitions: Int = 16,
     strategy: PartitionStrategy = Heterogeneous,
     optimizedTrie: Boolean = true,
-    succinct: Boolean = true,
     seed: Long = 42L,
 )
 
@@ -55,8 +56,17 @@ object Repose {
       * partition answers every query locally, the driver merges per query.
       * Batching amortizes job-launch overhead across the workload, which is
       * how a 100-query evaluation set is processed.
+      *
+      * Throws `IllegalArgumentException` on the driver, before any job runs,
+      * when k < 1 or a query is empty or has a non-finite coordinate.
       */
     def queryBatch(qs: Array[Array[Point]], k: Int): Array[Array[(Long, Double)]] = {
+      require(k >= 1, s"k must be at least 1, got $k")
+      qs.indices.foreach { qi =>
+        require(qs(qi).nonEmpty, s"query $qi is empty")
+        require(qs(qi).forall(p => p.x.isFinite && p.y.isFinite),
+          s"query $qi has a non-finite coordinate")
+      }
       val sc = rdd.sparkContext
       val qB = sc.broadcast(qs)
       val local = rdd
@@ -69,10 +79,9 @@ object Repose {
         }
         .collect()
       qB.destroy()
-      Array.tabulate(qs.length) { qi =>
-        local.iterator.filter(_._1 == qi).flatMap(_._2)
-          .toArray.sortBy(r => (r._2, r._1)).take(k)
-      }
+      val perQuery = Array.fill(qs.length)(mutable.ArrayBuffer.empty[(Long, Double)])
+      local.foreach { case (qi, rs) => perQuery(qi) ++= rs }
+      perQuery.map(_.toArray.sortBy(r => (r._2, r._1)).take(k))
     }
 
     /** Per-partition workload skew for a query batch: (max / mean) of the
@@ -133,7 +142,6 @@ object Repose {
     val assigned = GlobalPartitioning.assign(trajs, cfg.strategy, cfg.numPartitions, mbr)
     val part = GlobalPartitioning.partitioned(assigned, cfg.numPartitions)
     val optimized = cfg.optimizedTrie
-    val succinct = cfg.succinct
     val rdd: RpTrieRDD = part
       .mapPartitions { it =>
         val arr = it.toArray
@@ -143,9 +151,7 @@ object Repose {
           val trie = RPTrie.build(
             arr, gridB.value, measure,
             optimized = optimized, givenPivots = pivotsB.value)
-          val idx: TrieAccess =
-            if (succinct) SuccinctRPTrie.encode(trie) else trie
-          Iterator.single(RpTraj(arr, idx))
+          Iterator.single(RpTraj(arr, trie))
         }
       }
       .persist(StorageLevel.MEMORY_ONLY)

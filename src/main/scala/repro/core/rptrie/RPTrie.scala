@@ -5,47 +5,119 @@ import scala.util.Random
 
 import repro.core.{Measure, Point, Trajectory, ZGrid}
 
-/** Build-time trie node (pointer representation). After `RPTrie.build`
-  * finishes, nodes are frozen into flat child arrays in ascending-z order.
-  */
-final class TrieNode(val z: Int) extends Serializable {
-  var childZ: Array[Int] = Array.emptyIntArray
-  var childId: Array[Int] = Array.emptyIntArray
-  var tids: Array[Int] = Array.emptyIntArray
-  var dmax: Double = 0.0
-  var maxDev: Double = 0.0
-  var hrMin: Array[Double] = null
-  var hrMax: Array[Double] = null
-}
-
-/** Reference point trie (§III-B) — pointer representation.
+/** Reference point trie (§III-B) in the paper's succinct layout, after SuRF.
   *
-  * Holds the grid, the pivot trajectories, and a flat node array (handle 0 is
-  * the root). Internal nodes carry HR pivot-distance ranges; accepting nodes
-  * additionally carry trajectory ids and `D_max`.
+  * Node handles are ints in [0, numNodes), numbered in BFS order with each
+  * node's children in ascending z, so a node's children are consecutive
+  * handles from `firstChild`; the root is handle 0. Upper (dense) levels —
+  * few, frequently visited nodes — store each node's child labels as a
+  * `numCells`-bit bitmap `B_c`, concatenated in BFS order. Lower (sparse)
+  * levels — the long tail — store them as CSR label arrays. Payloads are flat
+  * arrays indexed by handle.
+  *
+  * A node may both carry trajectory ids (the paper's `$`-terminated leaf for
+  * a reference trajectory that is a prefix of another) and have children.
   */
-final class RPTrie(
+final class RPTrie private (
     val grid: ZGrid,
     val measure: Measure,
+    /** Global pivot trajectories (empty for non-metric measures). */
     val pivots: Array[Array[Point]],
-    val nodes: Array[TrieNode],
-) extends TrieAccess {
-  def numNodes: Int = nodes.length
+    val numNodes: Int,
+    /** Handles [0, denseCount) use the dense encoding. */
+    val denseCount: Int,
+    wordsPerNode: Int,
+    bc: Array[Long],
+    firstChild: Array[Int],
+    csrStart: Array[Int],
+    csrLabels: Array[Int],
+    tidStart: Array[Int],
+    tidArr: Array[Int],
+    dmaxArr: Array[Double],
+    maxDevArr: Array[Double],
+    hrMinArr: Array[Double],
+    hrMaxArr: Array[Double],
+) extends Serializable {
+
+  private val np = pivots.length
+
   def root: Int = 0
-  def childCount(v: Int): Int = nodes(v).childZ.length
+
+  def childCount(v: Int): Int =
+    if (v < denseCount) {
+      var c = 0
+      var w = v * wordsPerNode
+      val end = w + wordsPerNode
+      while (w < end) { c += java.lang.Long.bitCount(bc(w)); w += 1 }
+      c
+    } else csrStart(v - denseCount + 1) - csrStart(v - denseCount)
+
+  /** Iterate the children of `v` in ascending z-label order: f(z, child). */
   def foreachChild(v: Int)(f: (Int, Int) => Unit): Unit = {
-    val n = nodes(v)
-    var i = 0
-    while (i < n.childZ.length) { f(n.childZ(i), n.childId(i)); i += 1 }
+    var child = firstChild(v)
+    if (v < denseCount) {
+      val base = v * wordsPerNode
+      var w = 0
+      while (w < wordsPerNode) {
+        var word = bc(base + w)
+        while (word != 0L) {
+          val bit = java.lang.Long.numberOfTrailingZeros(word)
+          f(w * 64 + bit, child)
+          child += 1
+          word &= word - 1
+        }
+        w += 1
+      }
+    } else {
+      val s = csrStart(v - denseCount)
+      val e = csrStart(v - denseCount + 1)
+      var i = s
+      while (i < e) { f(csrLabels(i), child); child += 1; i += 1 }
+    }
   }
-  def tids(v: Int): Array[Int] = nodes(v).tids
-  def dmax(v: Int): Double = nodes(v).dmax
-  def maxDev(v: Int): Double = nodes(v).maxDev
-  def hrMin(v: Int, p: Int): Double = nodes(v).hrMin(p)
-  def hrMax(v: Int, p: Int): Double = nodes(v).hrMax(p)
+
+  /** Trajectory ids (indices into the partition's trajectory array) whose
+    * reference trajectory ends at `v`, as a fresh array; empty when `v` is
+    * purely internal. The search reads them in place instead:
+    * `tidAt(i)` for i in [`tidFrom(v)`, `tidUntil(v)`).
+    */
+  def tids(v: Int): Array[Int] = {
+    val s = tidStart(v); val e = tidStart(v + 1)
+    if (s == e) Array.emptyIntArray else java.util.Arrays.copyOfRange(tidArr, s, e)
+  }
+  def tidFrom(v: Int): Int = tidStart(v)
+  def tidUntil(v: Int): Int = tidStart(v + 1)
+  def tidAt(i: Int): Int = tidArr(i)
+
+  /** Max distance from the trajectories ending at `v` to v's reference
+    * trajectory — the `D_max` of Eq. 3. 0 for purely internal nodes.
+    */
+  def dmax(v: Int): Double = dmaxArr(v)
+
+  /** Max over the whole subtree of D(τ, τ*) — bounds the reference-point
+    * deviation used by the pivot bound `LB_p` (Eq. 5; see DESIGN.md).
+    */
+  def maxDev(v: Int): Double = maxDevArr(v)
+
+  /** HR[p].min / HR[p].max — min / max distance from reference trajectories
+    * in v's subtree to pivot p (§III-B).
+    */
+  def hrMin(v: Int, p: Int): Double = hrMinArr(v * np + p)
+  def hrMax(v: Int, p: Int): Double = hrMaxArr(v * np + p)
+
+  /** In-memory footprint estimate (index-size metric IS). */
+  def estimatedSizeBytes: Long = org.apache.spark.util.SizeEstimator.estimate(this)
 }
 
 object RPTrie {
+
+  /** Grids with more cells than this encode every level sparsely. */
+  val DenseCellMax = 4096
+
+  /** Upper levels are dense while the node count through them stays within
+    * this.
+    */
+  val DenseNodeMax = 256
 
   /** Mutable node used only during construction. */
   private final class BNode(val z: Int) {
@@ -55,7 +127,6 @@ object RPTrie {
     var maxDev = 0.0
     var hrMin: Array[Double] = null
     var hrMax: Array[Double] = null
-    var id = -1
   }
 
   /** Build an RP-Trie over `trajs` (§III-B).
@@ -72,6 +143,8 @@ object RPTrie {
     *                    distributed build selects pivots once on the driver
     *                    and broadcasts them; when null, pivots are selected
     *                    locally from `trajs`.
+    * @param denseNodeMax test hook for the dense/sparse split (0 encodes
+    *                    every level sparsely); builds use `DenseNodeMax`.
     */
   def build(
       trajs: Array[Trajectory],
@@ -82,6 +155,7 @@ object RPTrie {
       optimized: Boolean = true,
       seed: Long = 42L,
       givenPivots: Array[Array[Point]] = null,
+      denseNodeMax: Int = DenseNodeMax,
   ): RPTrie = {
     val pivots =
       if (givenPivots != null) { if (measure.isMetric) givenPivots else Array.empty[Array[Point]] }
@@ -99,8 +173,8 @@ object RPTrie {
         i += 1
       }
     }
-    computePayloads(root, trajs, grid, measure, pivots)
-    freeze(root, grid, measure, pivots)
+    val numNodes = computePayloads(root, trajs, grid, measure, pivots)
+    freeze(root, numNodes, trajs.length, grid, measure, pivots, denseNodeMax)
   }
 
   /** Select `np` pivots by sampling `groups` random groups and keeping the
@@ -186,7 +260,8 @@ object RPTrie {
   }
 
   /** Compute accepting-node payloads (HR point values, D_max) by DFS carrying
-    * the z-path, then propagate HR ranges and maxDev bottom-up.
+    * the z-path, then propagate HR ranges and maxDev bottom-up. Returns the
+    * number of nodes.
     */
   private def computePayloads(
       root: BNode,
@@ -194,11 +269,13 @@ object RPTrie {
       grid: ZGrid,
       measure: Measure,
       pivots: Array[Array[Point]],
-  ): Unit = {
+  ): Int = {
     val np = pivots.length
     val path = mutable.ArrayBuffer.empty[Int]
+    var count = 0
 
     def visit(node: BNode): Unit = {
+      count += 1
       node.hrMin = Array.fill(np)(Double.MaxValue)
       node.hrMax = Array.fill(np)(Double.MinValue)
       if (node.tids.nonEmpty) {
@@ -231,38 +308,79 @@ object RPTrie {
       }
     }
     visit(root)
+    count
   }
 
-  /** Freeze into the flat pointer representation: BFS handle assignment with
-    * children canonically sorted by z (bitmap iteration order in the succinct
-    * encoding), so both representations traverse identically.
+  /** Freeze the build tree into the flat layout in one BFS pass. The BFS
+    * array doubles as the queue: a node's children get the next free handles
+    * when it is dequeued. When the pass reaches a level's first node, that
+    * level is exactly the nodes enqueued but not yet dequeued, so whole levels
+    * are encoded densely while the node count through them stays within
+    * `denseNodeMax` and the grid has at most `DenseCellMax` cells.
     */
   private def freeze(
       root: BNode,
+      n: Int,
+      numTids: Int,
       grid: ZGrid,
       measure: Measure,
       pivots: Array[Array[Point]],
+      denseNodeMax: Int,
   ): RPTrie = {
-    val order = mutable.ArrayBuffer.empty[BNode]
-    val queue = mutable.Queue(root)
-    while (queue.nonEmpty) {
-      val n = queue.dequeue()
-      n.id = order.length
-      order += n
-      n.children.values.toArray.sortBy(_.z).foreach(queue.enqueue(_))
+    val np = pivots.length
+    val denseAllowed = grid.numCells <= DenseCellMax
+    val wordsPerNode = math.max(1, (grid.numCells + 63) / 64)
+    val bfs = new Array[BNode](n)
+    bfs(0) = root
+    var next = 1
+    var levelEnd = 0
+    var denseCount = 0
+    var bc = Array.emptyLongArray
+    var csrStart: Array[Int] = null // allocated at the first sparse level
+    val csrLabels = new Array[Int](n - 1)
+    var labels = 0
+    val firstChild = new Array[Int](n)
+    val tidStart = new Array[Int](n + 1)
+    val tidArr = new Array[Int](numTids)
+    val dmaxArr = new Array[Double](n)
+    val maxDevArr = new Array[Double](n)
+    val hrMinArr = new Array[Double](n * np)
+    val hrMaxArr = new Array[Double](n * np)
+
+    var v = 0
+    while (v < n) {
+      if (v == levelEnd) {
+        if (csrStart == null) {
+          if (denseAllowed && next <= denseNodeMax) {
+            denseCount = next
+            bc = java.util.Arrays.copyOf(bc, denseCount * wordsPerNode)
+          } else csrStart = new Array[Int](n - denseCount + 1)
+        }
+        levelEnd = next
+      }
+      val b = bfs(v)
+      val kids = b.children.values.toArray.sortBy(_.z)
+      firstChild(v) = if (kids.isEmpty) -1 else next
+      kids.foreach { c =>
+        bfs(next) = c
+        next += 1
+        if (v < denseCount) bc(v * wordsPerNode + (c.z >> 6)) |= 1L << (c.z & 63)
+        else { csrLabels(labels) = c.z; labels += 1 }
+      }
+      if (v >= denseCount) csrStart(v - denseCount + 1) = labels
+      b.tids.copyToArray(tidArr, tidStart(v))
+      tidStart(v + 1) = tidStart(v) + b.tids.length
+      dmaxArr(v) = b.dmax
+      maxDevArr(v) = b.maxDev
+      System.arraycopy(b.hrMin, 0, hrMinArr, v * np, np)
+      System.arraycopy(b.hrMax, 0, hrMaxArr, v * np, np)
+      v += 1
     }
-    val nodes = order.map { b =>
-      val t = new TrieNode(b.z)
-      val sorted = b.children.values.toArray.sortBy(_.z)
-      t.childZ = sorted.map(_.z)
-      t.childId = sorted.map(_.id)
-      t.tids = b.tids.toArray
-      t.dmax = b.dmax
-      t.maxDev = b.maxDev
-      t.hrMin = b.hrMin
-      t.hrMax = b.hrMax
-      t
-    }.toArray
-    new RPTrie(grid, measure, pivots, nodes)
+    if (csrStart == null) csrStart = new Array[Int](1) // every level dense
+
+    new RPTrie(
+      grid, measure, pivots, n, denseCount, wordsPerNode, bc, firstChild,
+      csrStart, java.util.Arrays.copyOf(csrLabels, labels),
+      tidStart, tidArr, dmaxArr, maxDevArr, hrMinArr, hrMaxArr)
   }
 }

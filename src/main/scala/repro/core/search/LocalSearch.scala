@@ -3,7 +3,7 @@ package repro.core.search
 import scala.collection.mutable
 
 import repro.core.{Point, Trajectory}
-import repro.core.rptrie.TrieAccess
+import repro.core.rptrie.RPTrie
 
 /** Best-first top-k search over an RP-Trie (§IV, Algorithm 2).
   *
@@ -35,7 +35,7 @@ object LocalSearch {
     * k (trajectoryId, distance) pairs sorted by ascending distance.
     */
   def topK(
-      trie: TrieAccess,
+      trie: RPTrie,
       trajs: Array[Trajectory],
       q: Array[Point],
       k: Int,
@@ -79,12 +79,12 @@ object LocalSearch {
       if (ops.monotone && t.lbO >= dk) done = true // all remaining ≥ d_k
       else if (t.lbP >= dk || t.lbO >= dk) ()      // subtree pruned; continue
       else {
-        val ts = trie.tids(t.handle)
-        if (ts.nonEmpty) {
+        var i = trie.tidFrom(t.handle)
+        val until = trie.tidUntil(t.handle)
+        if (i < until) { // D_max is read only at accepting nodes
           val dm = trie.dmax(t.handle)
-          var i = 0
-          while (i < ts.length) {
-            val traj = trajs(ts(i))
+          while (i < until) {
+            val traj = trajs(trie.tidAt(i))
             if (ops.leafTidLB(t.refCore, dm, traj.length) < dk) {
               val d = measure.dist(q, traj.points)
               if (stats != null) stats.exactDistances += 1

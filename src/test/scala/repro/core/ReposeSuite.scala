@@ -54,20 +54,11 @@ class ReposeSuite extends SparkSpec {
     } finally idx.unpersist()
   }
 
-  test("pointer and succinct configurations agree") {
-    val q = TestUtils.randomQuery(8, seed = 167L)
-    val a = Repose.build(spark, rdd, Frechet, ReposeConfig(delta = 1.0, numPartitions = 4, succinct = true))
-    val b = Repose.build(spark, rdd, Frechet, ReposeConfig(delta = 1.0, numPartitions = 4, succinct = false))
-    try {
-      assert(a.query(q, 10).toSeq == b.query(q, 10).toSeq)
-    } finally { a.unpersist(); b.unpersist() }
-  }
-
   test("optimized trie reduces total node count for Hausdorff (Fig. 7 effect)") {
     val a = Repose.build(spark, rdd, Hausdorff,
-      ReposeConfig(delta = 1.0, numPartitions = 4, optimizedTrie = true, succinct = false))
+      ReposeConfig(delta = 1.0, numPartitions = 4, optimizedTrie = true))
     val b = Repose.build(spark, rdd, Hausdorff,
-      ReposeConfig(delta = 1.0, numPartitions = 4, optimizedTrie = false, succinct = false))
+      ReposeConfig(delta = 1.0, numPartitions = 4, optimizedTrie = false))
     try {
       assert(a.totalNodes <= b.totalNodes)
     } finally { a.unpersist(); b.unpersist() }
@@ -120,6 +111,31 @@ class ReposeSuite extends SparkSpec {
           trajs, q, Hausdorff)
       }
     } finally idx.unpersist()
+  }
+
+  // A failure inside a Spark task would surface as a SparkException, so an
+  // IllegalArgumentException shows the batch was rejected on the driver.
+  private def assertRejected(batches: Seq[(Array[Array[Point]], Int)]): Unit = {
+    val idx = Repose.build(spark, rdd, Frechet, ReposeConfig(delta = 1.0, numPartitions = 4))
+    try batches.foreach { case (qs, k) => assertThrows[IllegalArgumentException](idx.queryBatch(qs, k)) }
+    finally idx.unpersist()
+  }
+
+  test("queryBatch rejects an empty query trajectory") {
+    assertRejected(Seq(Array(TestUtils.randomQuery(8, seed = 181L), Array.empty[Point]) -> 5))
+  }
+
+  test("queryBatch rejects a non-finite query coordinate") {
+    assertRejected(Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).map { bad =>
+      val q = TestUtils.randomQuery(8, seed = 191L)
+      q(3) = Point(q(3).x, bad)
+      Array(q) -> 5
+    })
+  }
+
+  test("queryBatch rejects k < 1") {
+    val qs = Array(TestUtils.randomQuery(8, seed = 193L))
+    assertRejected(Seq(qs -> 0, qs -> -3))
   }
 
   test("LS queryBatch matches brute force per query") {

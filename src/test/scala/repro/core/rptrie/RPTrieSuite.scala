@@ -14,7 +14,7 @@ class RPTrieSuite extends AnyFunSuite {
   private val grid8 = TestUtils.paperGrid
 
   /** Walk a z-sequence from the root; None if some edge is missing. */
-  private def walk(trie: TrieAccess, zs: Array[Int]): Option[Int] = {
+  private def walk(trie: RPTrie, zs: Array[Int]): Option[Int] = {
     var cur = trie.root
     for (z <- zs) {
       var next = -1
@@ -25,10 +25,10 @@ class RPTrieSuite extends AnyFunSuite {
     Some(cur)
   }
 
-  private def allNodes(trie: TrieAccess): Seq[Int] = 0 until trie.numNodes
+  private def allNodes(trie: RPTrie): Seq[Int] = 0 until trie.numNodes
 
   /** DFS paths: node -> z-path from root. */
-  private def paths(trie: TrieAccess): Map[Int, List[Int]] = {
+  private def paths(trie: RPTrie): Map[Int, List[Int]] = {
     val out = mutable.Map(trie.root -> List.empty[Int])
     def go(v: Int, path: List[Int]): Unit =
       trie.foreachChild(v) { (z, c) =>

@@ -6,98 +6,103 @@ import scala.collection.mutable
 import repro.TestUtils
 import repro.core._
 
-/** Succinct encoding tests: bit-for-bit traversal equivalence with the
-  * pointer trie, dense/sparse level split behaviour, B_l semantics.
+/** Succinct encoding tests: the default (dense upper levels) and all-sparse
+  * encodings of one build traverse identically, and the dense/sparse level
+  * split follows `denseNodeMax` and the grid alphabet.
   */
 class SuccinctSuite extends AnyFunSuite {
 
   private val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
   private val trajs = TestUtils.randomTrajs(120, maxLen = 12, seed = 131L)
 
-  private def children(t: TrieAccess, v: Int): Seq[(Int, Int)] = {
+  private val measures: Seq[Measure] = Seq(
+    Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
+
+  private def children(t: RPTrie, v: Int): Seq[(Int, Int)] = {
     val buf = mutable.ArrayBuffer.empty[(Int, Int)]
     t.foreachChild(v)((z, c) => buf += ((z, c)))
     buf.toSeq
   }
 
-  private def assertEquivalent(ptr: RPTrie, suc: SuccinctRPTrie): Unit = {
-    assert(ptr.numNodes == suc.numNodes)
-    for (v <- 0 until ptr.numNodes) {
-      val pc = children(ptr, v)
-      val sc = children(suc, v)
-      assert(pc == sc, s"children differ at node $v: $pc vs $sc")
-      assert(ptr.childCount(v) == suc.childCount(v))
-      assert(ptr.tids(v).toSeq == suc.tids(v).toSeq, s"tids differ at $v")
-      assert(ptr.dmax(v) == suc.dmax(v))
-      assert(ptr.maxDev(v) == suc.maxDev(v))
-      for (p <- ptr.pivots.indices) {
-        assert(ptr.hrMin(v, p) == suc.hrMin(v, p))
-        assert(ptr.hrMax(v, p) == suc.hrMax(v, p))
+  private def assertEquivalent(a: RPTrie, b: RPTrie): Unit = {
+    assert(a.numNodes == b.numNodes)
+    for (v <- 0 until a.numNodes) {
+      val ac = children(a, v)
+      val bc = children(b, v)
+      assert(ac == bc, s"children differ at node $v: $ac vs $bc")
+      assert(a.childCount(v) == b.childCount(v))
+      assert(a.childCount(v) == ac.length)
+      assert(a.tids(v).toSeq == b.tids(v).toSeq, s"tids differ at $v")
+      assert((a.tidFrom(v) until a.tidUntil(v)).map(a.tidAt) == a.tids(v).toSeq)
+      assert(a.dmax(v) == b.dmax(v))
+      assert(a.maxDev(v) == b.maxDev(v))
+      for (p <- a.pivots.indices) {
+        assert(a.hrMin(v, p) == b.hrMin(v, p))
+        assert(a.hrMax(v, p) == b.hrMax(v, p))
       }
     }
   }
 
-  for (m <- Seq[Measure](Hausdorff, Frechet, DTW); opt <- Seq(false, true)) {
-    test(s"pointer and succinct tries traverse identically (${m.name}, optimized=$opt)") {
-      val ptr = RPTrie.build(trajs, grid, m, np = 3,
-        optimized = opt && m.orderIndependent)
-      assertEquivalent(ptr, SuccinctRPTrie.encode(ptr))
+  for (m <- measures; opt <- Seq(false, true)) {
+    test(s"default and all-sparse encodings traverse identically (${m.name}, optimized=$opt)") {
+      val default = RPTrie.build(trajs, grid, m, np = 3, optimized = opt)
+      val sparse = RPTrie.build(trajs, grid, m, np = 3, optimized = opt, denseNodeMax = 0)
+      assert(default.denseCount > 0)
+      assertEquivalent(default, sparse)
     }
   }
 
   test("dense/sparse split: tiny denseNodeMax pushes everything sparse") {
-    val ptr = RPTrie.build(trajs, grid, Hausdorff, np = 2)
-    val allSparse = SuccinctRPTrie.encode(ptr, denseNodeMax = 0)
+    val allSparse = RPTrie.build(trajs, grid, Hausdorff, np = 2, denseNodeMax = 0)
     assert(allSparse.denseCount == 0)
-    assertEquivalent(ptr, allSparse)
+    assertEquivalent(RPTrie.build(trajs, grid, Hausdorff, np = 2), allSparse)
   }
 
   test("dense/sparse split: huge denseNodeMax makes everything dense") {
-    val ptr = RPTrie.build(trajs, grid, Hausdorff, np = 2)
-    val allDense = SuccinctRPTrie.encode(ptr, denseNodeMax = Int.MaxValue)
-    assert(allDense.denseCount == ptr.numNodes)
-    assertEquivalent(ptr, allDense)
+    val allDense = RPTrie.build(trajs, grid, Hausdorff, np = 2, denseNodeMax = Int.MaxValue)
+    assert(allDense.denseCount == allDense.numNodes)
+    assertEquivalent(RPTrie.build(trajs, grid, Hausdorff, np = 2), allDense)
   }
 
   test("large alphabets (cells > denseCellMax) fall back to all-sparse") {
     val fineGrid = ZGrid.fit(MBR(0, 0, 10, 10), 0.05) // 256x256 = 65536 cells
-    val ptr = RPTrie.build(trajs, fineGrid, Hausdorff, np = 2)
-    val suc = SuccinctRPTrie.encode(ptr)
-    assert(suc.denseCount == 0)
-    assertEquivalent(ptr, suc)
+    assert(fineGrid.numCells > RPTrie.DenseCellMax)
+    val trie = RPTrie.build(trajs, fineGrid, Hausdorff, np = 2)
+    assert(trie.denseCount == 0)
+    assertEquivalent(RPTrie.build(trajs, fineGrid, Hausdorff, np = 2, denseNodeMax = 0), trie)
   }
 
   test("default split has a dense upper part on small alphabets") {
-    val ptr = RPTrie.build(trajs, grid, Hausdorff, np = 2)
-    val suc = SuccinctRPTrie.encode(ptr)
-    assert(suc.denseCount > 0)
-    assert(suc.denseCount <= ptr.numNodes)
+    val trie = RPTrie.build(trajs, grid, Hausdorff, np = 2)
+    assert(trie.denseCount > 0)
+    assert(trie.denseCount <= trie.numNodes)
   }
 
-  test("B_l marks exactly the internal children of dense nodes") {
-    val ptr = RPTrie.build(trajs, grid, Hausdorff, np = 0)
-    val suc = SuccinctRPTrie.encode(ptr)
-    for (v <- 0 until suc.denseCount) {
-      children(ptr, v).foreach { case (z, c) =>
-        assert(suc.denseChildInternal(v, z) == (ptr.childCount(c) > 0),
-          s"B_l mismatch at node $v child z=$z")
-      }
-    }
+  test("a split inside the trie traverses like the all-sparse encoding") {
+    val whole = RPTrie.build(trajs, grid, Frechet, np = 2)
+    val mixed = RPTrie.build(trajs, grid, Frechet, np = 2, denseNodeMax = whole.numNodes / 2)
+    assert(mixed.denseCount > 0 && mixed.denseCount < mixed.numNodes)
+    assertEquivalent(mixed, RPTrie.build(trajs, grid, Frechet, np = 2, denseNodeMax = 0))
   }
 
-  test("search results are identical on pointer and succinct tries") {
+  test("search results are identical on default and all-sparse encodings") {
     val q = TestUtils.randomQuery(9, seed = 137L)
-    val ptr = RPTrie.build(trajs, grid, Hausdorff, np = 3)
-    val suc = SuccinctRPTrie.encode(ptr)
-    val a = repro.core.search.LocalSearch.topK(ptr, trajs, q, 15)
-    val b = repro.core.search.LocalSearch.topK(suc, trajs, q, 15)
+    val default = RPTrie.build(trajs, grid, Hausdorff, np = 3)
+    val sparse = RPTrie.build(trajs, grid, Hausdorff, np = 3, denseNodeMax = 0)
+    val statsA = new repro.core.search.LocalSearch.Stats
+    val statsB = new repro.core.search.LocalSearch.Stats
+    val a = repro.core.search.LocalSearch.topK(default, trajs, q, 15, statsA)
+    val b = repro.core.search.LocalSearch.topK(sparse, trajs, q, 15, statsB)
     assert(a.toSeq == b.toSeq)
+    assert(statsA.nodesPopped == statsB.nodesPopped)
+    assert(statsA.nodesPushed == statsB.nodesPushed)
+    assert(statsA.exactDistances == statsB.exactDistances)
   }
 
   test("encoding a single-node trie works") {
-    val ptr = RPTrie.build(Array.empty[Trajectory], grid, Hausdorff)
-    val suc = SuccinctRPTrie.encode(ptr)
-    assert(suc.numNodes == 1)
-    assert(children(suc, 0).isEmpty)
+    val trie = RPTrie.build(Array.empty[Trajectory], grid, Hausdorff)
+    assert(trie.numNodes == 1)
+    assert(children(trie, 0).isEmpty)
+    assert(trie.tids(0).isEmpty)
   }
 }

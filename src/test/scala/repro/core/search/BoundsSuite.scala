@@ -5,7 +5,7 @@ import scala.collection.mutable
 
 import repro.TestUtils
 import repro.core._
-import repro.core.rptrie.{RPTrie, TrieAccess}
+import repro.core.rptrie.RPTrie
 
 /** Property tests for Lemmas 1–4: every lower bound must under-estimate the
   * true distance to every trajectory in the node's subtree, `LB_o` must be
@@ -22,7 +22,7 @@ class BoundsSuite extends AnyFunSuite {
     Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
 
   /** All tids in the subtree of each node. */
-  private def subtreeTids(trie: TrieAccess): Map[Int, Set[Int]] = {
+  private def subtreeTids(trie: RPTrie): Map[Int, Set[Int]] = {
     val out = mutable.Map.empty[Int, Set[Int]]
     def go(v: Int): Set[Int] = {
       var s = trie.tids(v).toSet
@@ -35,7 +35,7 @@ class BoundsSuite extends AnyFunSuite {
   }
 
   /** DFS visiting every node with its extension result. */
-  private def visitAll(trie: TrieAccess, ops: BoundsOps)(
+  private def visitAll(trie: RPTrie, ops: BoundsOps)(
       f: (Int, Extended, Option[Extended]) => Unit): Unit = {
     def go(v: Int, ext: Extended): Unit =
       trie.foreachChild(v) { (z, c) =>

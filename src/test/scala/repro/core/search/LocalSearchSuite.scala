@@ -4,11 +4,11 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtils
 import repro.core._
-import repro.core.rptrie.{RPTrie, SuccinctRPTrie, TrieAccess}
+import repro.core.rptrie.RPTrie
 
 /** Exactness of the best-first local search (Algorithm 2): for every measure,
-  * trie variant (plain/optimized, pointer/succinct), grid resolution, and k,
-  * the result must match brute force.
+  * trie variant (plain/optimized; all-dense, default or all-sparse
+  * encoding), grid resolution, and k, the result must match brute force.
   */
 class LocalSearchSuite extends AnyFunSuite {
 
@@ -21,17 +21,33 @@ class LocalSearchSuite extends AnyFunSuite {
     TestUtils.randomQuery(12, seed = 79L),
   )
 
+  // `succinct=true` is the index's own encoding: dense child bitmaps on the
+  // upper levels, sparse labels below. `succinct=false` keeps a full child
+  // bitmap at every node, the uncompressed fixed fan-out layout, and
+  // `all-sparse` has no dense level at all; the search must be exact on
+  // either end of the split as well.
+  private val encodings = Seq(
+    "succinct=false" -> Int.MaxValue,
+    "succinct=true" -> RPTrie.DenseNodeMax,
+    "all-sparse" -> 0,
+  )
+
   for {
     m <- measures
     optimized <- Seq(false, true)
-    succinct <- Seq(false, true)
+    (encoding, denseNodeMax) <- encodings
     k <- Seq(1, 5, 20)
   } {
-    val label = s"${m.name} optimized=$optimized succinct=$succinct k=$k"
+    val label = s"${m.name} optimized=$optimized $encoding k=$k"
     test(s"topK matches brute force: $label") {
       val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
-      val ptr = RPTrie.build(trajs, grid, m, np = 3, optimized = optimized)
-      val trie: TrieAccess = if (succinct) SuccinctRPTrie.encode(ptr) else ptr
+      val trie = RPTrie.build(trajs, grid, m, np = 3, optimized = optimized,
+        denseNodeMax = denseNodeMax)
+      denseNodeMax match {
+        case Int.MaxValue => assert(trie.denseCount == trie.numNodes)
+        case 0 => assert(trie.denseCount == 0)
+        case _ => assert(trie.denseCount > 0 && trie.denseCount < trie.numNodes)
+      }
       queries.foreach { q =>
         val got = LocalSearch.topK(trie, trajs, q, k)
         val expected = TestUtils.bruteTopK(trajs, q, k, m)

@@ -1,7 +1,6 @@
 package repro.data
 
-import repro.{SparkSpec, TestUtils}
-import repro.core.MBR
+import repro.SparkSpec
 
 /** Synthetic dataset generator tests: determinism, paper-preprocessing
   * invariants (length ∈ [10, 1000]), spatial span, and the Table III stats
