@@ -3,8 +3,9 @@ package repro.baselines
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 
-import repro.core.{Measure, Point, Trajectory}
+import repro.core.{Measure, Point, Repose, Trajectory}
 import repro.core.partition.{GlobalPartitioning, PartitionStrategy, RandomPartitioning}
+import repro.core.search.TopK
 
 /** Baseline LS (§VII-A): brute-force distributed linear search — each
   * partition computes the distance from the query to every trajectory it
@@ -20,32 +21,15 @@ object LinearSearch {
     def query(q: Array[Point], k: Int): Array[(Long, Double)] =
       queryBatch(Array(q), k).head
 
-    /** Batch counterpart of `query` — one Spark job for the whole workload
-      * (matches `Repose.Index.queryBatch` so timing comparisons are fair).
+    /** Batch counterpart of `query`: the same validated single job and
+      * merge as `Repose.Index.queryBatch`, so timing comparisons are fair.
       */
     def queryBatch(qs: Array[Array[Point]], k: Int): Array[Array[(Long, Double)]] = {
-      val sc = rdd.sparkContext
-      val qB = sc.broadcast(qs)
       val measure0 = measure
-      val local = rdd
-        .mapPartitions { it =>
-          val parts = it.toArray
-          qB.value.iterator.zipWithIndex.map { case (q, qi) =>
-            val heap = scala.collection.mutable.PriorityQueue
-              .empty[(Long, Double)](Ordering.by(_._2))
-            parts.foreach(_.foreach { t =>
-              val d = measure0.dist(q, t.points)
-              if (heap.size < k) heap.enqueue((t.id, d))
-              else if (d < heap.head._2) { heap.dequeue(); heap.enqueue((t.id, d)) }
-            })
-            (qi, heap.toArray)
-          }
-        }
-        .collect()
-      qB.destroy()
-      Array.tabulate(qs.length) { qi =>
-        local.iterator.filter(_._1 == qi).flatMap(_._2)
-          .toArray.sortBy(r => (r._2, r._1)).take(k)
+      Repose.batchTopK(rdd, qs, k) { (part, q) =>
+        val top = new TopK(k)
+        part.foreach(t => top.offer(t.id, measure0.dist(q, t.points)))
+        top.result
       }
     }
 
@@ -61,7 +45,7 @@ object LinearSearch {
       numPartitions: Int,
       strategy: PartitionStrategy = RandomPartitioning,
   ): Index = {
-    val mbr = trajs.map(_.mbr).reduce(_ union _)
+    val mbr = Repose.datasetMbr(trajs)
     val assigned = GlobalPartitioning.assign(trajs, strategy, numPartitions, mbr)
     val rdd = GlobalPartitioning
       .partitioned(assigned, numPartitions)

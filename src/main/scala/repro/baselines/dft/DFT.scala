@@ -4,7 +4,8 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 import scala.util.Random
 
-import repro.core.{MBR, Measure, Point, Trajectory}
+import repro.core.{MBR, Measure, Point, Repose, Trajectory}
+import repro.core.search.TopK
 
 /** DFT baseline (Xie, Li, Phillips — PVLDB'17), the DFT-RB+DI variant of
   * §VII-A: trajectories are decomposed into line segments; segments are
@@ -27,28 +28,35 @@ object DFT {
 
   final class Index(
       val segParts: RDD[SegPart],
-      val dual: RDD[(Long, Trajectory)],
+      val dual: RDD[Array[Trajectory]],
       val segCounts: Map[Long, Int],
       val samplePool: Array[Trajectory],
       val measure: Measure,
   ) extends Serializable {
 
-    /** Exact top-k via threshold candidates + dual-index refinement. */
+    /** Exact top-k, via the dual index, of the trajectories `keep` admits. */
+    private def exactTopK(q: Array[Point], k: Int, keep: Long => Boolean) = {
+      val measure0 = measure
+      Repose.batchTopK(dual, Array(q), k) { (part, q) =>
+        val top = new TopK(k)
+        part.foreach(t => if (keep(t.id)) top.offer(t.id, measure0.dist(q, t.points)))
+        top.result
+      }.head
+    }
+
+    /** Exact top-k via threshold candidates + dual-index refinement; rejects
+      * bad input on the driver like `Repose.Index.query`.
+      */
     def query(q: Array[Point], k: Int, c: Int = 5, seed: Long = 7L): Array[(Long, Double)] = {
-      val sc = segParts.sparkContext
-      if (k >= segCounts.size) { // fewer trajectories than k: evaluate all
-        val qAll = sc.broadcast(q)
-        val measure0 = measure
-        val all = dual.map { case (tid, t) => (tid, measure0.dist(qAll.value, t.points)) }.collect()
-        qAll.destroy()
-        return all.sortBy(r => (r._2, r._1)).take(k)
-      }
+      Repose.requireQueries(Array(q), k)
+      if (k >= segCounts.size) return exactTopK(q, k, _ => true) // evaluate all
       val rnd = new Random(seed)
       val sample = rnd.shuffle(samplePool.toVector).take(math.max(c * k, k)).toArray
       val sampleDists = sample.map(t => measure.dist(q, t.points)).sorted
       var theta = sampleDists(math.min(k - 1, sampleDists.length - 1))
       if (theta <= 0.0) theta = 1e-12
 
+      val sc = segParts.sparkContext
       val qB = sc.broadcast(q)
       val countsB = sc.broadcast(segCounts)
       var result: Array[(Long, Double)] = null
@@ -71,22 +79,8 @@ object DFT {
 
         if (candidates.size >= k) {
           val candB = sc.broadcast(candidates)
-          val measure0 = measure
-          val exact = dual
-            .filter { case (tid, _) => candB.value.contains(tid) }
-            .mapPartitions { it =>
-              val heap = scala.collection.mutable.PriorityQueue
-                .empty[(Long, Double)](Ordering.by(_._2))
-              it.foreach { case (tid, t) =>
-                val d = measure0.dist(qB.value, t.points)
-                if (heap.size < k) heap.enqueue((tid, d))
-                else if (d < heap.head._2) { heap.dequeue(); heap.enqueue((tid, d)) }
-              }
-              heap.iterator
-            }
-            .collect()
+          val topk = exactTopK(q, k, tid => candB.value.contains(tid))
           candB.destroy()
-          val topk = exact.sortBy(r => (r._2, r._1)).take(k)
           // Pruned trajectories all have distance > θ, so the answer is only
           // final once the k-th candidate distance is within θ.
           if (topk.length >= k && topk(k - 1)._2 <= th) result = topk
@@ -104,7 +98,7 @@ object DFT {
         .map(p => org.apache.spark.util.SizeEstimator.estimate(p))
         .fold(0L)(_ + _)
       val dualBytes = dual
-        .map(t => org.apache.spark.util.SizeEstimator.estimate(t._2))
+        .map(_.map(org.apache.spark.util.SizeEstimator.estimate(_)).sum)
         .fold(0L)(_ + _)
       segBytes + dualBytes
     }
@@ -128,7 +122,7 @@ object DFT {
       samplePoolSize: Int = 2000,
       seed: Long = 11L,
   ): Index = {
-    val mbr = trajs.map(_.mbr).reduce(_ union _)
+    val mbr = Repose.datasetMbr(trajs)
     val u = math.max(math.max(mbr.width, mbr.height), 1e-9)
 
     // Segment rows keyed by centroid z-order (1024×1024 Morton grid).
@@ -187,6 +181,7 @@ object DFT {
     val dual = trajs
       .map(t => (t.id, t))
       .partitionBy(new org.apache.spark.HashPartitioner(numPartitions))
+      .mapPartitions(it => Iterator.single(it.map(_._2).toArray))
       .persist(StorageLevel.MEMORY_ONLY)
     dual.count()
 

@@ -4,8 +4,9 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 import scala.util.Random
 
-import repro.core.{MBR, Measure, Point, Trajectory, Frechet, DTW}
+import repro.core.{MBR, Measure, Point, Repose, Trajectory, Frechet, DTW}
 import repro.core.partition.IdPartitioner
+import repro.core.search.TopK
 
 /** DITA baseline (Shang, Li, Bao — SIGMOD'18), simplified per §VII-A / §VIII:
   * each trajectory is represented by its first point, last point, and up to
@@ -66,38 +67,28 @@ object DITA {
       val total: Long,
   ) extends Serializable {
 
-    private def count(q: Array[Point], theta: Double): Long = {
-      val qB = parts.sparkContext.broadcast(q)
-      val res = parts.map { p =>
+    private def count(q: Array[Point], theta: Double): Long =
+      Repose.batchJob(parts, Array(q)) { (p, q) =>
         var c = 0L
-        visitCandidates(p, qB.value, MBR(qB.value), theta)(_ => c += 1)
+        visitCandidates(p, q, MBR(q), theta)(_ => c += 1)
         c
-      }.fold(0L)(_ + _)
-      qB.destroy()
-      res
-    }
+      }.map(_.head).sum
 
     private def refine(q: Array[Point], theta: Double, k: Int): Array[(Long, Double)] = {
-      val qB = parts.sparkContext.broadcast(q)
       val measure0 = measure
-      val res = parts.mapPartitions { it =>
-        val heap = scala.collection.mutable.PriorityQueue
-          .empty[(Long, Double)](Ordering.by(_._2))
-        it.foreach { p =>
-          visitCandidates(p, qB.value, MBR(qB.value), theta) { e =>
-            val t = p.trajs(e.tid)
-            val d = measure0.dist(qB.value, t.points)
-            if (heap.size < k) heap.enqueue((t.id, d))
-            else if (d < heap.head._2) { heap.dequeue(); heap.enqueue((t.id, d)) }
-          }
+      Repose.batchTopK(parts, Array(q), k) { (p, q) =>
+        val top = new TopK(k)
+        visitCandidates(p, q, MBR(q), theta) { e =>
+          val t = p.trajs(e.tid)
+          top.offer(t.id, measure0.dist(q, t.points))
         }
-        heap.iterator
-      }.collect()
-      qB.destroy()
-      res.sortBy(r => (r._2, r._1)).take(k)
+        top.result
+      }.head
     }
 
+    /** Exact top-k; rejects bad input on the driver like `Repose.Index.query`. */
     def query(q: Array[Point], k: Int, c: Int = 5, seed: Long = 7L): Array[(Long, Double)] = {
+      Repose.requireQueries(Array(q), k)
       if (k >= total) return refine(q, Double.MaxValue, k)
       val rnd = new Random(seed)
       val sample = rnd.shuffle(samplePool.toVector).take(math.max(c * k, k)).toArray
@@ -153,7 +144,7 @@ object DITA {
   ): Index = {
     require(measure == Frechet || measure == DTW,
       s"DITA does not support ${measure.name} (first/last-point bounds need order sensitivity)")
-    val mbr = trajs.map(_.mbr).reduce(_ union _)
+    val mbr = Repose.datasetMbr(trajs)
     val u = math.max(math.max(mbr.width, mbr.height), 1e-9)
     def cell(p: Point): Int = {
       val cx = math.min(cellsPerSide - 1, math.max(0, ((p.x - mbr.minX) / u * cellsPerSide).toInt))

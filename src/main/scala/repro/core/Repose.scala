@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable
+import scala.reflect.ClassTag
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
@@ -8,7 +8,7 @@ import org.apache.spark.storage.StorageLevel
 
 import repro.core.partition._
 import repro.core.rptrie.RPTrie
-import repro.core.search.LocalSearch
+import repro.core.search.{LocalSearch, TopK}
 
 /** A partition's packaged data + local index — the paper's
   * `case class RpTraj(trajectory: Array, Index: RP-Trie)` (§V-C).
@@ -60,29 +60,8 @@ object Repose {
       * Throws `IllegalArgumentException` on the driver, before any job runs,
       * when k < 1 or a query is empty or has a non-finite coordinate.
       */
-    def queryBatch(qs: Array[Array[Point]], k: Int): Array[Array[(Long, Double)]] = {
-      require(k >= 1, s"k must be at least 1, got $k")
-      qs.indices.foreach { qi =>
-        require(qs(qi).nonEmpty, s"query $qi is empty")
-        require(qs(qi).forall(p => p.x.isFinite && p.y.isFinite),
-          s"query $qi has a non-finite coordinate")
-      }
-      val sc = rdd.sparkContext
-      val qB = sc.broadcast(qs)
-      val local = rdd
-        .mapPartitions { it =>
-          it.flatMap { rp =>
-            qB.value.iterator.zipWithIndex.map { case (q, qi) =>
-              (qi, LocalSearch.topK(rp.index, rp.trajs, q, k))
-            }
-          }
-        }
-        .collect()
-      qB.destroy()
-      val perQuery = Array.fill(qs.length)(mutable.ArrayBuffer.empty[(Long, Double)])
-      local.foreach { case (qi, rs) => perQuery(qi) ++= rs }
-      perQuery.map(_.toArray.sortBy(r => (r._2, r._1)).take(k))
-    }
+    def queryBatch(qs: Array[Array[Point]], k: Int): Array[Array[(Long, Double)]] =
+      batchTopK(rdd, qs, k)((rp, q) => LocalSearch.topK(rp.index, rp.trajs, q, k))
 
     /** Per-partition workload skew for a query batch: (max / mean) of the
       * exact-distance computations each partition performs. 1.0 is perfect
@@ -90,20 +69,11 @@ object Repose {
       * per-query wall-clock equals the slowest partition's share.
       */
     def workImbalance(qs: Array[Array[Point]], k: Int): Double = {
-      val sc = rdd.sparkContext
-      val qB = sc.broadcast(qs)
-      val perPart = rdd
-        .mapPartitions { it =>
-          val stats = new LocalSearch.Stats
-          var hasData = false
-          it.foreach { rp =>
-            hasData = true
-            qB.value.foreach(q => LocalSearch.topK(rp.index, rp.trajs, q, k, stats))
-          }
-          if (hasData) Iterator.single(stats.exactDistances) else Iterator.empty
-        }
-        .collect()
-      qB.destroy()
+      val perPart = batchJob(rdd, qs) { (rp, q) =>
+        val stats = new LocalSearch.Stats
+        LocalSearch.topK(rp.index, rp.trajs, q, k, stats)
+        stats.exactDistances
+      }.map(_.sum)
       if (perPart.isEmpty || perPart.sum == 0) 1.0
       else perPart.max.toDouble / (perPart.sum.toDouble / perPart.length)
     }
@@ -118,8 +88,57 @@ object Repose {
     def unpersist(): Unit = rdd.unpersist(blocking = true)
   }
 
+  private def isValid(pts: Array[Point]): Boolean =
+    pts.nonEmpty && pts.forall(p => p.x.isFinite && p.y.isFinite)
+
+  /** The query contract of every index: throws `IllegalArgumentException`
+    * unless k ≥ 1 and every query is non-empty with finite coordinates.
+    */
+  private[repro] def requireQueries(qs: Array[Array[Point]], k: Int): Unit = {
+    require(k >= 1, s"k must be at least 1, got $k")
+    qs.indices.foreach(qi =>
+      require(isValid(qs(qi)), s"query $qi is empty or has a non-finite coordinate"))
+  }
+
+  /** The one batched-query job: broadcasts the batch, and row e of the
+    * result holds `search`'s answers to every query in element e.
+    */
+  private[repro] def batchJob[P, R: ClassTag](rdd: RDD[P], qs: Array[Array[Point]])(
+      search: (P, Array[Point]) => R,
+  ): Array[Array[R]] = {
+    val qB = rdd.sparkContext.broadcast(qs)
+    val rows = rdd.map(p => qB.value.map(search(p, _))).collect()
+    qB.destroy()
+    rows
+  }
+
+  /** Exact top-k per query: validates the batch on the driver, runs
+    * `batchJob`, and merges the elements' lists per query.
+    */
+  private[repro] def batchTopK[P](rdd: RDD[P], qs: Array[Array[Point]], k: Int)(
+      search: (P, Array[Point]) => Array[(Long, Double)],
+  ): Array[Array[(Long, Double)]] = {
+    requireQueries(qs, k)
+    val rows = batchJob(rdd, qs)(search)
+    Array.tabulate(qs.length)(qi => TopK.merge(k, rows.iterator.map(_(qi))))
+  }
+
+  /** MBR of the dataset, in one pass that also throws `IllegalArgumentException`
+    * on the driver if a trajectory is empty or has a non-finite coordinate.
+    */
+  private[repro] def datasetMbr(trajs: RDD[Trajectory]): MBR = {
+    val r = trajs.map(t => if (isValid(t.points)) Right(t.mbr) else Left(t.id)).reduce {
+      case (Right(a), Right(b)) => Right(a union b)
+      case (Left(a), Left(b))   => Left(math.min(a, b))
+      case (a, b)               => if (a.isLeft) a else b
+    }
+    r.fold(id => throw new IllegalArgumentException(
+      s"trajectory $id is empty or has a non-finite coordinate"), identity)
+  }
+
   /** Build the distributed index. Forces materialization so timing callers
     * measure the full construction (discretization + clustering + tries).
+    * Rejects an empty or non-finite trajectory (see `datasetMbr`).
     */
   def build(
       spark: SparkSession,
@@ -127,17 +146,15 @@ object Repose {
       measure: Measure,
       cfg: ReposeConfig,
   ): Index = {
-    val sc = spark.sparkContext
-    val mbr = trajs.map(_.mbr).reduce(_ union _)
+    val mbr = datasetMbr(trajs)
     val grid = ZGrid.fit(mbr, cfg.delta)
 
-    // Global pivots: selected once on the driver from a sample, broadcast.
+    // Global pivots: selected once on the driver from a sample. They and the
+    // grid are small, so the closure that builds the tries carries them.
     val sampleSize = math.max(cfg.np * 20, 100)
     val sample = trajs.takeSample(withReplacement = false, sampleSize, cfg.seed)
     val pivots =
       RPTrie.selectPivots(sample, measure, cfg.np, cfg.pivotGroups, cfg.seed)
-    val pivotsB = sc.broadcast(pivots)
-    val gridB = sc.broadcast(grid)
 
     val assigned = GlobalPartitioning.assign(trajs, cfg.strategy, cfg.numPartitions, mbr)
     val part = GlobalPartitioning.partitioned(assigned, cfg.numPartitions)
@@ -149,8 +166,7 @@ object Repose {
         else {
           // Partition-local ids are array indices; global ids live in Trajectory.id.
           val trie = RPTrie.build(
-            arr, gridB.value, measure,
-            optimized = optimized, givenPivots = pivotsB.value)
+            arr, grid, measure, optimized = optimized, givenPivots = pivots)
           Iterator.single(RpTraj(arr, trie))
         }
       }

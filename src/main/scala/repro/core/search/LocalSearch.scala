@@ -13,6 +13,8 @@ import repro.core.rptrie.RPTrie
   * DESIGN.md for the two-sided correction) prunes whole subtrees via
   * `continue`; `LB_t` (two-side bound, Eq. 3) prunes individual trajectories
   * in accepting nodes.
+  * Ties go by id: a node bound equal to `d_k` cuts nothing, and a trajectory
+  * with `LB_t = d_k` is still evaluated when its id is below the k-th id.
   */
 object LocalSearch {
 
@@ -32,7 +34,8 @@ object LocalSearch {
   )
 
   /** Exact top-k of `q` among `trajs` under `trie.measure`. Returns at most
-    * k (trajectoryId, distance) pairs sorted by ascending distance.
+    * k (trajectoryId, distance) pairs sorted by (distance, id): the first k
+    * of a brute-force scan in that order, ties included.
     */
   def topK(
       trie: RPTrie,
@@ -47,12 +50,7 @@ object LocalSearch {
     val np = trie.pivots.length
     val dqp = trie.pivots.map(p => measure.dist(q, p))
 
-    // k-bounded max-heap of current best results; d_k = its head when full.
-    val best = mutable.PriorityQueue.empty[(Long, Double)](Ordering.by(_._2))
-    def dk: Double = if (best.size < k) Double.MaxValue else best.head._2
-    def offer(id: Long, d: Double): Unit =
-      if (best.size < k) best.enqueue((id, d))
-      else if (d < best.head._2) { best.dequeue(); best.enqueue((id, d)) }
+    val best = new TopK(k)
 
     // Pivot bound for a node (both triangle directions, deviation-corrected).
     def pivotLB(v: Int): Double = {
@@ -76,8 +74,8 @@ object LocalSearch {
     while (pq.nonEmpty && !done) {
       val t = pq.dequeue()
       if (stats != null) stats.nodesPopped += 1
-      if (ops.monotone && t.lbO >= dk) done = true // all remaining ≥ d_k
-      else if (t.lbP >= dk || t.lbO >= dk) ()      // subtree pruned; continue
+      if (ops.monotone && t.lbO > best.dk) done = true // all remaining > d_k
+      else if (t.lbP > best.dk || t.lbO > best.dk) ()  // subtree pruned; continue
       else {
         var i = trie.tidFrom(t.handle)
         val until = trie.tidUntil(t.handle)
@@ -85,19 +83,19 @@ object LocalSearch {
           val dm = trie.dmax(t.handle)
           while (i < until) {
             val traj = trajs(trie.tidAt(i))
-            if (ops.leafTidLB(t.refCore, dm, traj.length) < dk) {
+            if (best.admits(ops.leafTidLB(t.refCore, dm, traj.length), traj.id)) {
               val d = measure.dist(q, traj.points)
               if (stats != null) stats.exactDistances += 1
-              offer(traj.id, d)
+              best.offer(traj.id, d)
             }
             i += 1
           }
         }
         trie.foreachChild(t.handle) { (z, c) =>
           val ext = ops.extend(t.state, z)
-          if (!(ops.monotone && ext.lbO >= dk)) {
+          if (!(ops.monotone && ext.lbO > best.dk)) {
             val lp = if (np > 0) pivotLB(c) else 0.0
-            if (lp < dk) {
+            if (lp <= best.dk) {
               pq.enqueue(SNode(c, ext.lbO, lp, ext.refCore, ext.state))
               if (stats != null) stats.nodesPushed += 1
             }
@@ -105,6 +103,6 @@ object LocalSearch {
         }
       }
     }
-    best.toArray.sortBy(r => (r._2, r._1))
+    best.result
   }
 }

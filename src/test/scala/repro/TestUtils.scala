@@ -28,6 +28,14 @@ object TestUtils {
     }
   }
 
+  /** `randomTrajs` with every trajectory twice, under id 2i+1 and then 2i:
+    * every distance is tied, and the larger id of each pair comes first.
+    */
+  def tiedTrajs(n: Int, maxLen: Int = 14, seed: Long = 5L): Array[Trajectory] =
+    randomTrajs(n, maxLen, seed = seed).flatMap { t =>
+      Array(Trajectory(2 * t.id + 1, t.points), Trajectory(2 * t.id, t.points))
+    }
+
   def randomQuery(len: Int, span: Double = 10.0, seed: Long = 99L): Array[Point] = {
     val rnd = new Random(seed)
     var x = rnd.nextDouble() * span
@@ -39,9 +47,11 @@ object TestUtils {
     }
   }
 
-  /** Ground-truth top-k by exhaustive distance computation. */
+  /** Ground-truth top-k by exhaustive distance computation, sorted by
+    * (distance, id) — the order every search must reproduce.
+    */
   def bruteTopK(
-      trajs: Seq[Trajectory],
+      trajs: Array[Trajectory],
       q: Array[Point],
       k: Int,
       measure: Measure,
@@ -49,29 +59,26 @@ object TestUtils {
     trajs.map(t => (t.id, measure.dist(q, t.points)))
       .sortBy(r => (r._2, r._1))
       .take(k)
-      .toArray
 
-  /** Top-k equality that is robust to distance ties: the distance sequences
-    * must match and every reported (id, distance) must be genuine.
+  /** Exact top-k equality: `got` must equal `expected` element for element,
+    * (id, distance) with ties in (distance, id) order, and every reported
+    * distance must be genuine.
     */
   def assertTopKEqual(
       got: Array[(Long, Double)],
       expected: Array[(Long, Double)],
-      trajs: Seq[Trajectory],
+      trajs: Array[Trajectory],
       q: Array[Point],
       measure: Measure,
       tol: Double = 1e-9,
   ): Unit = {
-    assert(got.length == expected.length,
-      s"size mismatch: got ${got.length}, expected ${expected.length}")
     val byId = trajs.map(t => t.id -> t).toMap
     got.foreach { case (id, d) =>
       val actual = measure.dist(q, byId(id).points)
       assert(math.abs(actual - d) <= tol, s"reported distance $d for id $id but actual $actual")
     }
-    got.map(_._2).zip(expected.map(_._2)).zipWithIndex.foreach { case ((g, e), i) =>
-      assert(math.abs(g - e) <= tol, s"rank $i distance: got $g, expected $e")
-    }
+    assert(got.sameElements(expected),
+      s"got ${got.mkString(", ")}; expected ${expected.mkString(", ")}")
   }
 
   /** Table II trajectories of the paper's running example. */

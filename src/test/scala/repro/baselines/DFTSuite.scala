@@ -100,4 +100,15 @@ class DFTSuite extends SparkSpec {
       trajs.foreach(t => assert(idx.segCounts(t.id) == math.max(1, t.length - 1)))
     } finally idx.unpersist()
   }
+
+  test("DFT query rejects an empty or non-finite query and k < 1 on the driver") {
+    val idx = DFT.build(rdd, Frechet, numPartitions = 4)
+    try {
+      val q = TestUtils.randomQuery(8, seed = 263L)
+      val nan = q.updated(2, Point(Double.NaN, 1.0))
+      Seq(Array.empty[Point] -> 5, nan -> 5, q -> 0).foreach { case (bad, k) =>
+        assertThrows[IllegalArgumentException](idx.query(bad, k))
+      }
+    } finally idx.unpersist()
+  }
 }

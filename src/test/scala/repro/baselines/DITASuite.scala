@@ -68,4 +68,15 @@ class DITASuite extends SparkSpec {
         s"DITA ${dita.indexBytes} should be smaller than DFT ${dft.indexBytes}")
     } finally { dita.unpersist(); dft.unpersist() }
   }
+
+  test("DITA query rejects an empty or non-finite query and k < 1 on the driver") {
+    val idx = DITA.build(rdd, Frechet, numPartitions = 4)
+    try {
+      val q = TestUtils.randomQuery(8, seed = 263L)
+      val nan = q.updated(2, Point(Double.NaN, 1.0))
+      Seq(Array.empty[Point] -> 5, nan -> 5, q -> 0).foreach { case (bad, k) =>
+        assertThrows[IllegalArgumentException](idx.query(bad, k))
+      }
+    } finally idx.unpersist()
+  }
 }

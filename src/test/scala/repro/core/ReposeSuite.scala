@@ -1,7 +1,11 @@
 package repro.core
 
 import repro.{SparkSpec, TestUtils}
+import repro.baselines.LinearSearch
+import repro.baselines.dft.DFT
+import repro.baselines.dita.DITA
 import repro.core.partition.{Heterogeneous, Homogeneous, RandomPartitioning}
+import repro.core.search.LocalSearch
 
 /** End-to-end REPOSE tests: the distributed pipeline (partition → per-
   * partition RP-Trie → best-first local search → global merge) must return
@@ -115,10 +119,14 @@ class ReposeSuite extends SparkSpec {
 
   // A failure inside a Spark task would surface as a SparkException, so an
   // IllegalArgumentException shows the batch was rejected on the driver.
+  // REPOSE and LS share the validated batch job; both must reject.
   private def assertRejected(batches: Seq[(Array[Array[Point]], Int)]): Unit = {
     val idx = Repose.build(spark, rdd, Frechet, ReposeConfig(delta = 1.0, numPartitions = 4))
-    try batches.foreach { case (qs, k) => assertThrows[IllegalArgumentException](idx.queryBatch(qs, k)) }
-    finally idx.unpersist()
+    val ls = LinearSearch.build(rdd, Frechet, 4)
+    try batches.foreach { case (qs, k) =>
+      assertThrows[IllegalArgumentException](idx.queryBatch(qs, k))
+      assertThrows[IllegalArgumentException](ls.queryBatch(qs, k))
+    } finally { idx.unpersist(); ls.unpersist() }
   }
 
   test("queryBatch rejects an empty query trajectory") {
@@ -138,8 +146,35 @@ class ReposeSuite extends SparkSpec {
     assertRejected(Seq(qs -> 0, qs -> -3))
   }
 
+  // Every index runs the same validating MBR pass first, so each build
+  // fails on the driver, naming the trajectory, before its other jobs.
+  private def assertBuildRejects(bad: Trajectory): Unit = {
+    val data = spark.sparkContext.parallelize(trajs.updated(37, bad).toIndexedSeq, 8)
+    val builds: Seq[(String, () => Any)] = Seq(
+      "REPOSE" -> (() => Repose.build(spark, data, Frechet, ReposeConfig(delta = 1.0, numPartitions = 4))),
+      "LS" -> (() => LinearSearch.build(data, Frechet, 4)),
+      "DFT" -> (() => DFT.build(data, Frechet, 4)),
+      "DITA" -> (() => DITA.build(data, Frechet, 4)))
+    builds.foreach { case (name, build) =>
+      val e = intercept[IllegalArgumentException](build())
+      assert(e.getMessage.contains(s"trajectory ${bad.id} "), s"$name: ${e.getMessage}")
+    }
+  }
+
+  test("build rejects an empty trajectory") {
+    assertBuildRejects(Trajectory(trajs(37).id, Array.empty))
+  }
+
+  test("build rejects a non-finite trajectory coordinate") {
+    Seq(Double.NaN, Double.PositiveInfinity).foreach { bad =>
+      val pts = trajs(37).points.clone()
+      pts(1) = Point(bad, pts(1).y)
+      assertBuildRejects(Trajectory(trajs(37).id, pts))
+    }
+  }
+
   test("LS queryBatch matches brute force per query") {
-    val idx = repro.baselines.LinearSearch.build(rdd, Frechet, 5)
+    val idx = LinearSearch.build(rdd, Frechet, 5)
     try {
       val qs = Array(
         TestUtils.randomQuery(7, seed = 331L),
@@ -149,6 +184,19 @@ class ReposeSuite extends SparkSpec {
         TestUtils.assertTopKEqual(got, TestUtils.bruteTopK(trajs, q, 6, Frechet),
           trajs, q, Frechet)
       }
+    } finally idx.unpersist()
+  }
+
+  test("workImbalance is max/mean of the partitions' exact distances") {
+    val idx = Repose.build(spark, rdd, Hausdorff, ReposeConfig(delta = 1.0, numPartitions = 4))
+    try {
+      val qs = Array(TestUtils.randomQuery(8, seed = 347L), TestUtils.randomQuery(6, seed = 349L))
+      val perPart = idx.rdd.collect().map { rp =>
+        val stats = new LocalSearch.Stats
+        qs.foreach(LocalSearch.topK(rp.index, rp.trajs, _, 7, stats))
+        stats.exactDistances.toDouble
+      }
+      assert(idx.workImbalance(qs, 7) == perPart.max / (perPart.sum / perPart.length))
     } finally idx.unpersist()
   }
 

@@ -56,6 +56,27 @@ class LocalSearchSuite extends AnyFunSuite {
     }
   }
 
+  // Every trajectory twice, the larger id first: a search that cuts a tie by
+  // visit order instead of by id returns the wrong copy.
+  private val tied = TestUtils.tiedTrajs(60, seed = 401L)
+  private val tiedQueries = Seq(tied(6).points, TestUtils.randomQuery(8, seed = 409L))
+
+  for {
+    m <- measures
+    optimized <- Seq(false, true)
+    (encoding, denseNodeMax) <- encodings
+  } {
+    test(s"topK breaks distance ties by id: ${m.name} optimized=$optimized $encoding") {
+      val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
+      val trie = RPTrie.build(tied, grid, m, np = 3, optimized = optimized,
+        denseNodeMax = denseNodeMax)
+      for (q <- tiedQueries; k <- Seq(1, 5, 11)) {
+        TestUtils.assertTopKEqual(LocalSearch.topK(trie, tied, q, k),
+          TestUtils.bruteTopK(tied, q, k, m), tied, q, m)
+      }
+    }
+  }
+
   test("k larger than dataset returns all trajectories") {
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
     val small = trajs.take(7)
