@@ -4,7 +4,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 import scala.util.Random
 
-import repro.core.{MBR, Measure, Point, Repose, Trajectory}
+import repro.core.{MBR, Measure, Point, Repose, Trajectory, ZGrid}
 import repro.core.search.TopK
 
 /** DFT baseline (Xie, Li, Phillips — PVLDB'17), the DFT-RB+DI variant of
@@ -126,17 +126,10 @@ object DFT {
     val u = math.max(math.max(mbr.width, mbr.height), 1e-9)
 
     // Segment rows keyed by centroid z-order (1024×1024 Morton grid).
-    def zCentroid(a: Point, b: Point): Long = {
+    def zCentroid(a: Point, b: Point): Int = {
       val cx = math.min(1023, math.max(0, ((a.x + b.x) / 2 - mbr.minX) / u * 1024).toInt)
       val cy = math.min(1023, math.max(0, ((a.y + b.y) / 2 - mbr.minY) / u * 1024).toInt)
-      var z = 0L
-      var bit = 0
-      while (bit < 10) {
-        z |= ((cx >> bit) & 1).toLong << (2 * bit + 1)
-        z |= ((cy >> bit) & 1).toLong << (2 * bit)
-        bit += 1
-      }
-      z
+      ZGrid.interleave(cx, cy, 10)
     }
 
     def segments(t: Trajectory): Iterator[(Point, Point, Long)] =

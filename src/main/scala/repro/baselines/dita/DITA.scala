@@ -93,14 +93,17 @@ object DITA {
       val rnd = new Random(seed)
       val sample = rnd.shuffle(samplePool.toVector).take(math.max(c * k, k)).toArray
       val dists = sample.map(t => measure.dist(q, t.points)).sorted
-      var theta = math.max(dists(math.min(k - 1, dists.length - 1)), 1e-12)
-
-      // Halve while the index still reports more than C·k candidates.
-      var cnt = count(q, theta)
-      while (cnt > c.toLong * k && count(q, theta / 2) >= k) {
-        theta /= 2
-        cnt = count(q, theta)
-      }
+      // Halve while the index still reports more than C·k candidates and the
+      // halved threshold keeps at least k; each step runs one count.
+      @annotation.tailrec
+      def halve(theta: Double, cnt: Long): Double =
+        if (cnt <= c.toLong * k) theta
+        else {
+          val half = count(q, theta / 2)
+          if (half >= k) halve(theta / 2, half) else theta
+        }
+      val theta0 = math.max(dists(math.min(k - 1, dists.length - 1)), 1e-12)
+      var theta = halve(theta0, count(q, theta0))
       var result: Array[(Long, Double)] = null
       while (result == null) {
         val topk = refine(q, theta, k)

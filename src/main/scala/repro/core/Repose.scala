@@ -138,7 +138,8 @@ object Repose {
 
   /** Build the distributed index. Forces materialization so timing callers
     * measure the full construction (discretization + clustering + tries).
-    * Rejects an empty or non-finite trajectory (see `datasetMbr`).
+    * Rejects an empty or non-finite trajectory (see `datasetMbr`) and a
+    * repeated id (see `GlobalPartitioning.assign`).
     */
   def build(
       spark: SparkSession,

@@ -31,17 +31,8 @@ final case class ZGrid(minX: Double, minY: Double, l: Int, delta: Double)
     (clamp(math.floor((p.x - minX) / delta).toInt),
      clamp(math.floor((p.y - minY) / delta).toInt))
 
-  /** Morton interleave: x bit above y bit at every level. */
-  def zOf(cx: Int, cy: Int): Int = {
-    var z = 0
-    var b = 0
-    while (b < bits) {
-      z |= ((cx >> b) & 1) << (2 * b + 1)
-      z |= ((cy >> b) & 1) << (2 * b)
-      b += 1
-    }
-    z
-  }
+  /** z-value of cell (cx, cy): `ZGrid.interleave` at this grid's bits. */
+  def zOf(cx: Int, cy: Int): Int = ZGrid.interleave(cx, cy, bits)
 
   def zOf(p: Point): Int = { val (cx, cy) = cellOf(p); zOf(cx, cy) }
 
@@ -107,6 +98,20 @@ final case class ZGrid(minX: Double, minY: Double, l: Int, delta: Double)
 }
 
 object ZGrid {
+  /** Morton interleave of the low `bits` bits of cx and cy (at most 15):
+    * x bit above y bit at every level.
+    */
+  def interleave(cx: Int, cy: Int, bits: Int): Int = {
+    var z = 0
+    var b = 0
+    while (b < bits) {
+      z |= ((cx >> b) & 1) << (2 * b + 1)
+      z |= ((cy >> b) & 1) << (2 * b)
+      b += 1
+    }
+    z
+  }
+
   /** Build a grid from a dataset MBR and requested cell side `delta`.
     *
     * The region is the square of side `U = max(width, height)` anchored at

@@ -1,5 +1,7 @@
 package repro.core.partition
 
+import scala.collection.immutable.ArraySeq
+
 import org.apache.spark.Partitioner
 import org.apache.spark.rdd.RDD
 
@@ -33,12 +35,12 @@ final class IdPartitioner(n: Int) extends Partitioner {
 object GlobalPartitioning {
 
   /** Finest clustering precision: 2^10 × 2^10 cells. */
-  private val MaxPrecision = 10
+  private[partition] val MaxPrecision = 10
 
   /** Cell sequence of a trajectory at precision `p` (consecutive-deduped),
     * the geohash encoding of §V-B; coarser keys are bit-shifts of finer ones.
     */
-  private def cellSeq(t: Trajectory, mbr: MBR, p: Int): Array[Int] = {
+  private[partition] def cellSeq(t: Trajectory, mbr: MBR, p: Int): Array[Int] = {
     val side = 1 << p
     val u = math.max(math.max(mbr.width, mbr.height), 1e-9)
     val out = new scala.collection.mutable.ArrayBuffer[Int](t.length)
@@ -71,40 +73,47 @@ object GlobalPartitioning {
     out.toArray
   }
 
-  private def keyString(seq: Array[Int]): String = seq.mkString(",")
-
-  /** Cluster ids per §V-B: start from the finest granularity and coarsen
-    * until the number of clusters drops to ≈ N / numPartitions.
+  /** Cluster keys per §V-B, on the driver: from the cell sequences at
+    * `MaxPrecision`, coarsen one precision at a time and stop at the finest
+    * precision with at most max(numPartitions, N / numPartitions) distinct
+    * sequences, or at precision 1. Returns every trajectory's key (its cell
+    * sequence at that precision), in input order.
     */
-  def clusterKeys(
-      trajs: RDD[Trajectory],
-      mbr: MBR,
-      numPartitions: Int,
-  ): RDD[(Long, String)] = {
-    val n = trajs.count()
-    val target = math.max(numPartitions.toLong, n / math.max(numPartitions, 1))
+  def clusterKeys(finest: Array[Array[Int]], numPartitions: Int): Array[Array[Int]] = {
+    val target = math.max(numPartitions, finest.length / math.max(numPartitions, 1))
+    def clusters(keys: Array[Array[Int]]): Int =
+      keys.iterator.map(ArraySeq.unsafeWrapArray(_)).toSet.size
     var p = MaxPrecision
-    var seqs = trajs.map(t => (t.id, cellSeq(t, mbr, p))).persist()
-    var keys = seqs.mapValues(keyString)
-    var distinct = keys.values.distinct().count()
-    while (distinct > target && p > 1) {
+    var keys = finest
+    while (p > 1 && clusters(keys) > target) {
       p -= 1
-      val next = seqs.mapValues(coarsen).persist()
-      seqs.unpersist(blocking = false)
-      seqs = next
-      keys = seqs.mapValues(keyString)
-      distinct = keys.values.distinct().count()
+      keys = keys.map(coarsen)
     }
-    val out = keys
-    seqs.unpersist(blocking = false)
-    out
+    keys
+  }
+
+  /** `ids` in ascending order; throws `IllegalArgumentException`, naming the
+    * smallest repeated id, unless they are distinct.
+    */
+  private def distinctSorted(ids: Array[Long]): Array[Long] = {
+    val sorted = ids.sorted
+    var i = 1
+    while (i < sorted.length) {
+      require(sorted(i) != sorted(i - 1), s"trajectory id ${sorted(i)} occurs more than once")
+      i += 1
+    }
+    sorted
   }
 
   /** Assign a partition id to every trajectory under the given strategy.
+    * Throws `IllegalArgumentException` on the driver if an id repeats.
     *
-    * Heterogeneous/homogeneous both sort by (cluster id, trajectory id);
-    * heterogeneous then deals round-robin, homogeneous cuts contiguous
-    * equal-count chunks.
+    * Heterogeneous/homogeneous collect each trajectory's finest cell sequence
+    * in one job, cluster on the driver (`clusterKeys`) and rank the ids by
+    * (cluster key, id): heterogeneous deals the ranks round-robin,
+    * homogeneous cuts contiguous equal-count blocks. The returned RDD maps
+    * every trajectory through the id → partition table, so the only shuffle
+    * is `partitioned`'s. Random hashes the id.
     */
   def assign(
       trajs: RDD[Trajectory],
@@ -113,28 +122,31 @@ object GlobalPartitioning {
       mbr: MBR,
   ): RDD[(Int, Trajectory)] = strategy match {
     case RandomPartitioning =>
+      distinctSorted(trajs.map(_.id).collect())
       trajs.map { t =>
         val h = scala.util.hashing.MurmurHash3.stringHash(t.id.toString)
         (math.floorMod(h, numPartitions), t)
       }
     case _ =>
-      val keys = clusterKeys(trajs, mbr, numPartitions)
-      val n = trajs.count()
-      val byId = trajs.map(t => (t.id, t))
-      val sorted = byId
-        .join(keys)
-        .map { case (id, (t, key)) => ((key, id), t) }
-        .sortByKey()
-        .values
-        .zipWithIndex()
-      strategy match {
-        case Heterogeneous =>
-          sorted.map { case (t, idx) => ((idx % numPartitions).toInt, t) }
-        case _ =>
-          sorted.map { case (t, idx) =>
-            (math.min(numPartitions - 1, (idx * numPartitions / math.max(n, 1L)).toInt), t)
-          }
+      val (ids, finest) = trajs.map(t => (t.id, cellSeq(t, mbr, MaxPrecision))).collect().unzip
+      val sortedIds = distinctSorted(ids)
+      val keys = clusterKeys(finest, numPartitions)
+      val n = ids.length
+      val byKey = Array.range(0, n).sortWith { (i, j) =>
+        val c = java.util.Arrays.compare(keys(i), keys(j))
+        c < 0 || (c == 0 && ids(i) < ids(j))
       }
+      // pidOf(r) is the partition of sortedIds(r).
+      val pidOf = new Array[Int](n)
+      var rank = 0
+      while (rank < n) {
+        val pid =
+          if (strategy == Heterogeneous) rank % numPartitions
+          else math.min(numPartitions - 1, (rank.toLong * numPartitions / n).toInt)
+        pidOf(java.util.Arrays.binarySearch(sortedIds, ids(byKey(rank)))) = pid
+        rank += 1
+      }
+      trajs.map(t => (pidOf(java.util.Arrays.binarySearch(sortedIds, t.id)), t))
   }
 
   /** Partition an assigned RDD with the custom `Partitioner` and drop keys. */

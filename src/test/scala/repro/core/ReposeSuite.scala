@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+
 import repro.{SparkSpec, TestUtils}
 import repro.baselines.LinearSearch
 import repro.baselines.dft.DFT
@@ -170,6 +172,43 @@ class ReposeSuite extends SparkSpec {
       val pts = trajs(37).points.clone()
       pts(1) = Point(bad, pts(1).y)
       assertBuildRejects(Trajectory(trajs(37).id, pts))
+    }
+  }
+
+  // Jobs started by `f`, told apart by a local property. A marker job run
+  // afterwards bounds the count: the listener bus delivers events in order,
+  // so once the marker's start arrives every job of `f` has been seen.
+  private def jobsRunBy(f: => Unit): Int = {
+    val sc = spark.sparkContext
+    val tag = "repro.test.jobs"
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(tag))).foreach(seen.add)
+    }
+    sc.addSparkListener(listener)
+    try {
+      try {
+        sc.setLocalProperty(tag, "counted")
+        f
+        sc.setLocalProperty(tag, "marker")
+        sc.parallelize(Seq(1), 1).count()
+      } finally sc.setLocalProperty(tag, null)
+      val deadline = System.nanoTime() + 30L * 1000000000L
+      while (!seen.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(seen.contains("marker"), "the listener never saw the marker job")
+      seen.toArray.count(_ == "counted")
+    } finally sc.removeSparkListener(listener)
+  }
+
+  for (st <- Seq(Heterogeneous, Homogeneous, RandomPartitioning)) {
+    test(s"build runs at most 5 Spark jobs under ${st.name} partitioning") {
+      var idx: Repose.Index = null
+      val jobs = jobsRunBy {
+        idx = Repose.build(spark, rdd, Frechet,
+          ReposeConfig(delta = 1.0, numPartitions = 6, strategy = st))
+      }
+      try assert(jobs >= 1 && jobs <= 5, s"$jobs jobs") finally idx.unpersist()
     }
   }
 

@@ -32,6 +32,24 @@ class ZGridSuite extends AnyFunSuite {
     assert(zs.min == 0 && zs.max == 63)
   }
 
+  test("interleave gives the z-values of the per-encoder loops over a full 10-bit grid") {
+    // The bit loop that zOf and DFT's centroid key each ran before sharing it.
+    def loop(cx: Int, cy: Int): Long = {
+      var z = 0L
+      for (b <- 0 until 10) {
+        z |= ((cx >> b) & 1).toLong << (2 * b + 1)
+        z |= ((cy >> b) & 1).toLong << (2 * b)
+      }
+      z
+    }
+    val g = ZGrid(0, 0, 1024, 1.0)
+    val mismatches = (for (cx <- 0 until 1024; cy <- 0 until 1024) yield {
+      val z = loop(cx, cy)
+      if (ZGrid.interleave(cx, cy, 10) != z || g.zOf(cx, cy) != z) 1 else 0
+    }).sum
+    assert(mismatches == 0)
+  }
+
   test("cellOf maps points to enclosing cells") {
     assert(grid.cellOf(Point(0.5, 7.5)) == ((0, 7)))
     assert(grid.cellOf(Point(6.5, 4.5)) == ((6, 4)))

@@ -77,13 +77,61 @@ class PartitioningSuite extends SparkSpec {
     assert(a == b)
   }
 
+  private def finest(trajs: Array[Trajectory]): Array[Array[Int]] =
+    trajs.map(GlobalPartitioning.cellSeq(_, mbr, GlobalPartitioning.MaxPrecision))
+
   test("clusterKeys coarsens until cluster count is near N/numPartitions") {
-    val keys = GlobalPartitioning.clusterKeys(data, mbr, 8)
-    val distinct = keys.values.distinct().count()
+    val keys = GlobalPartitioning.clusterKeys(finest(data.collect()), 8)
+    val distinct = keys.map(_.toSeq).distinct.length
     // target is max(8, 400/8) = 50; the sweep stops at or below it, or at the
     // coarsest precision.
     assert(distinct <= 400)
     assert(distinct >= 1)
+  }
+
+  // Every key must be the trajectory's cell sequence at the finest precision
+  // with at most max(P, N/P) clusters, found here level by level from the
+  // trajectories themselves. Returns the number of clusters.
+  private def assertSweep(trajs: Array[Trajectory], numPartitions: Int): Int = {
+    val target = math.max(numPartitions, trajs.length / numPartitions)
+    def clusters(p: Int) =
+      trajs.map(t => GlobalPartitioning.cellSeq(t, mbr, p).toSeq).distinct.length
+    val p =
+      (GlobalPartitioning.MaxPrecision to 2 by -1).find(clusters(_) <= target).getOrElse(1)
+    val keys = GlobalPartitioning.clusterKeys(finest(trajs), numPartitions)
+    trajs.indices.foreach { i =>
+      assert(keys(i).sameElements(GlobalPartitioning.cellSeq(trajs(i), mbr, p)),
+        s"key of trajectory ${trajs(i).id} is not its cell sequence at precision $p")
+    }
+    clusters(p)
+  }
+
+  test("clusterKeys: every key is the cell sequence at the chosen precision") {
+    assertSweep(data.collect(), 8)
+  }
+
+  test("clusterKeys: far-apart jittered bundles form separate clusters") {
+    // Four bundles in the four quadrants, ids interleaved across bundles; the
+    // jitter makes the finest precision exceed the target, so the sweep runs.
+    val rnd = new scala.util.Random(167L)
+    val centers = Array((2.0, 2.0), (2.0, 8.0), (8.0, 2.0), (8.0, 8.0))
+    val trajs = Array.tabulate(256) { i =>
+      val (cx, cy) = centers(i % 4)
+      Trajectory(i.toLong, Array.fill(3)(
+        Point(cx + (rnd.nextDouble() - 0.5) * 0.4, cy + (rnd.nextDouble() - 0.5) * 0.4)))
+    }
+    val clusters = assertSweep(trajs, 8)
+    assert(clusters >= 4, s"$clusters clusters for 4 far-apart bundles")
+  }
+
+  for (st <- Seq[PartitionStrategy](Heterogeneous, Homogeneous, RandomPartitioning)) {
+    test(s"${st.name}: a repeated id is rejected on the driver, naming the smallest") {
+      val trajs = TestUtils.randomTrajs(400, maxLen = 10, seed = 139L)
+      val dup = trajs ++ Seq(trajs(250).copy(points = trajs(3).points), trajs(17))
+      val rdd = spark.sparkContext.parallelize(dup.toIndexedSeq, 8)
+      val e = intercept[IllegalArgumentException](GlobalPartitioning.assign(rdd, st, 8, mbr))
+      assert(e.getMessage.contains("trajectory id 17 "), e.getMessage)
+    }
   }
 
   test("partition size histogram matches DuckDB (oracle)") {
