@@ -113,6 +113,8 @@ object DFT {
     * (Table IX): whole trajectories are dealt across partitions with
     * REPOSE's heterogeneous strategy (their segments follow them), instead
     * of DFT's homogeneous centroid-z-order range partitioning of segments.
+    * Throws `IllegalArgumentException` on the driver, naming the smallest
+    * repeated id, before any index is built.
     */
   def build(
       trajs: RDD[Trajectory],
@@ -124,6 +126,9 @@ object DFT {
   ): Index = {
     val mbr = Repose.datasetMbr(trajs)
     val u = math.max(math.max(mbr.width, mbr.height), 1e-9)
+    val segCountRows = trajs.map(t => (t.id, math.max(1, t.length - 1))).collect()
+    repro.core.partition.GlobalPartitioning.distinctSorted(segCountRows.map(_._1))
+    val segCounts = segCountRows.toMap
 
     // Segment rows keyed by centroid z-order (1024×1024 Morton grid).
     def zCentroid(a: Point, b: Point): Int = {
@@ -178,7 +183,6 @@ object DFT {
       .persist(StorageLevel.MEMORY_ONLY)
     dual.count()
 
-    val segCounts = trajs.map(t => (t.id, math.max(1, t.length - 1))).collect().toMap
     val samplePool = trajs.takeSample(withReplacement = false,
       math.min(samplePoolSize, segCounts.size), seed)
 

@@ -5,7 +5,7 @@ import org.apache.spark.storage.StorageLevel
 import scala.util.Random
 
 import repro.core.{MBR, Measure, Point, Repose, Trajectory, Frechet, DTW}
-import repro.core.partition.IdPartitioner
+import repro.core.partition.{GlobalPartitioning, IdPartitioner}
 import repro.core.search.TopK
 
 /** DITA baseline (Shang, Li, Bao — SIGMOD'18), simplified per §VII-A / §VIII:
@@ -135,6 +135,9 @@ object DITA {
     }
   }
 
+  /** Build the DITA index. Throws `IllegalArgumentException` on the driver,
+    * naming the smallest repeated id, before any index is built.
+    */
   def build(
       trajs: RDD[Trajectory],
       measure: Measure,
@@ -155,7 +158,8 @@ object DITA {
       cx * cellsPerSide + cy
     }
 
-    val total = trajs.count()
+    // The ids' collect counts the data and rejects a repeated id.
+    val total = GlobalPartitioning.distinctSorted(trajs.map(_.id).collect()).length.toLong
     val sorted = trajs
       .map(t => ((cell(t.points.head), cell(t.points.last), t.id), t))
       .sortByKey()

@@ -82,7 +82,9 @@ object Repose {
     def indexBytes: Long =
       rdd.map(rp => rp.index.estimatedSizeBytes).fold(0L)(_ + _)
 
-    /** Total trie nodes across partitions (optimized-trie effect, Fig. 7). */
+    /** Total path-compressed trie nodes across partitions. Fig. 7 counts
+      * per-label nodes: `numLabels + 1` per trie.
+      */
     def totalNodes: Long = rdd.map(rp => rp.index.numNodes.toLong).fold(0L)(_ + _)
 
     def unpersist(): Unit = rdd.unpersist(blocking = true)

@@ -95,7 +95,7 @@ object GlobalPartitioning {
   /** `ids` in ascending order; throws `IllegalArgumentException`, naming the
     * smallest repeated id, unless they are distinct.
     */
-  private def distinctSorted(ids: Array[Long]): Array[Long] = {
+  private[repro] def distinctSorted(ids: Array[Long]): Array[Long] = {
     val sorted = ids.sorted
     var i = 1
     while (i < sorted.length) {

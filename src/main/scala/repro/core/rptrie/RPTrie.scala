@@ -5,15 +5,19 @@ import scala.util.Random
 
 import repro.core.{Measure, Point, Trajectory, ZGrid}
 
-/** Reference point trie (§III-B) in the paper's succinct layout, after SuRF.
+/** Reference point trie (§III-B) in the paper's succinct layout, after SuRF,
+  * and path-compressed (PATRICIA, ART): a node is a maximal unary chain of
+  * the per-label trie. Its incoming edge is a run of z-labels, `labelAt(i)`
+  * for i in [`runFrom(v)`, `runUntil(v)`), held in one flat array; a run ends
+  * where the per-label trie branches or holds ids, and the root's is empty.
+  * A chain node's payload was its run end's, so payloads are stored per node;
+  * `numLabels + 1` is the per-label node count.
   *
-  * Node handles are ints in [0, numNodes), numbered in BFS order with each
-  * node's children in ascending z, so a node's children are consecutive
-  * handles from `firstChild`; the root is handle 0. Upper (dense) levels —
-  * few, frequently visited nodes — store each node's child labels as a
-  * `numCells`-bit bitmap `B_c`, concatenated in BFS order. Lower (sparse)
-  * levels — the long tail — store them as CSR label arrays. Payloads are flat
-  * arrays indexed by handle.
+  * Handles are ints in [0, numNodes) in BFS order, children in ascending first
+  * label, so v's children are the handles [firstChild(v), firstChild(v + 1));
+  * the root is 0. Upper (dense) levels key a `numCells`-bit bitmap `B_c` per
+  * node on its children's first labels, which are distinct; lower (sparse)
+  * levels read them from the children's runs. Payloads are flat arrays.
   *
   * A node may both carry trajectory ids (the paper's `$`-terminated leaf for
   * a reference trajectory that is a prefix of another) and have children.
@@ -23,14 +27,13 @@ final class RPTrie private (
     val measure: Measure,
     /** Global pivot trajectories (empty for non-metric measures). */
     val pivots: Array[Array[Point]],
-    val numNodes: Int,
     /** Handles [0, denseCount) use the dense encoding. */
     val denseCount: Int,
     wordsPerNode: Int,
     bc: Array[Long],
     firstChild: Array[Int],
-    csrStart: Array[Int],
-    csrLabels: Array[Int],
+    runStart: Array[Int],
+    runLabels: Array[Int],
     tidStart: Array[Int],
     tidArr: Array[Int],
     dmaxArr: Array[Double],
@@ -43,16 +46,16 @@ final class RPTrie private (
 
   def root: Int = 0
 
-  def childCount(v: Int): Int =
-    if (v < denseCount) {
-      var c = 0
-      var w = v * wordsPerNode
-      val end = w + wordsPerNode
-      while (w < end) { c += java.lang.Long.bitCount(bc(w)); w += 1 }
-      c
-    } else csrStart(v - denseCount + 1) - csrStart(v - denseCount)
+  def numNodes: Int = firstChild.length - 1
 
-  /** Iterate the children of `v` in ascending z-label order: f(z, child). */
+  /** Labels over all runs: the per-label trie has `numLabels + 1` nodes. */
+  def numLabels: Int = runLabels.length
+
+  def childCount(v: Int): Int = firstChild(v + 1) - firstChild(v)
+
+  /** Iterate the children of `v` in ascending order of their runs' first
+    * labels: f(first label, child).
+    */
   def foreachChild(v: Int)(f: (Int, Int) => Unit): Unit = {
     var child = firstChild(v)
     if (v < denseCount) {
@@ -69,17 +72,18 @@ final class RPTrie private (
         w += 1
       }
     } else {
-      val s = csrStart(v - denseCount)
-      val e = csrStart(v - denseCount + 1)
-      var i = s
-      while (i < e) { f(csrLabels(i), child); child += 1; i += 1 }
+      val e = firstChild(v + 1)
+      while (child < e) { f(runLabels(runStart(child)), child); child += 1 }
     }
   }
 
-  /** Trajectory ids (indices into the partition's trajectory array) whose
-    * reference trajectory ends at `v`, as a fresh array; empty when `v` is
-    * purely internal. The search reads them in place instead:
-    * `tidAt(i)` for i in [`tidFrom(v)`, `tidUntil(v)`).
+  /** The run of `v` is `labelAt(i)` for i in [`runFrom(v)`, `runUntil(v)`). */
+  def runFrom(v: Int): Int = runStart(v)
+  def runUntil(v: Int): Int = runStart(v + 1)
+  def labelAt(i: Int): Int = runLabels(i)
+
+  /** Ids (indices into the partition's trajectories) ending at `v`, copied;
+    * in place they are `tidAt(i)` for i in [`tidFrom(v)`, `tidUntil(v)`).
     */
   def tids(v: Int): Array[Int] = {
     val s = tidStart(v); val e = tidStart(v + 1)
@@ -114,15 +118,13 @@ object RPTrie {
   /** Grids with more cells than this encode every level sparsely. */
   val DenseCellMax = 4096
 
-  /** Upper levels are dense while the node count through them stays within
-    * this.
-    */
+  /** Upper levels are dense while the node count through them is within this. */
   val DenseNodeMax = 256
 
-  /** Mutable node used only during construction. */
-  private final class BNode(val z: Int) {
-    val children = mutable.LinkedHashMap.empty[Int, BNode]
-    val tids = mutable.ArrayBuffer.empty[Int]
+  /** Build-time node; children are keyed by their runs' first labels. */
+  private final class BNode(var run: Array[Int]) {
+    var children = mutable.LinkedHashMap.empty[Int, BNode]
+    var tids = mutable.ArrayBuffer.empty[Int]
     var dmax = 0.0
     var maxDev = 0.0
     var hrMin: Array[Double] = null
@@ -160,19 +162,11 @@ object RPTrie {
     val pivots =
       if (givenPivots != null) { if (measure.isMetric) givenPivots else Array.empty[Array[Point]] }
       else selectPivots(trajs, measure, np, pivotGroups, seed)
-    val root = new BNode(-1)
-    if (optimized && measure.orderIndependent) {
-      val items = mutable.ArrayBuffer.tabulate(trajs.length) { i =>
-        (grid.refSet(trajs(i).points), i)
-      }
-      buildGreedy(root, items)
-    } else {
-      var i = 0
-      while (i < trajs.length) {
-        insert(root, grid.refSeq(trajs(i).points), i)
-        i += 1
-      }
-    }
+    val root = new BNode(Array.emptyIntArray)
+    if (optimized && measure.orderIndependent)
+      buildGreedy(root,
+        mutable.ArrayBuffer.tabulate(trajs.length)(i => (grid.refSet(trajs(i).points), i)))
+    else trajs.indices.foreach(i => insert(root, grid.refSeq(trajs(i).points), i))
     val numNodes = computePayloads(root, trajs, grid, measure, pivots)
     freeze(root, numNodes, trajs.length, grid, measure, pivots, denseNodeMax)
   }
@@ -211,30 +205,29 @@ object RPTrie {
     best.map(trajs(_).points.clone())
   }
 
-  private def insert(root: BNode, zs: Array[Int], tid: Int): Unit = {
-    var cur = root
-    var i = 0
-    while (i < zs.length) {
-      cur = cur.children.getOrElseUpdate(zs(i), new BNode(zs(i)))
-      i += 1
-    }
-    cur.tids += tid
-  }
+  private def insert(root: BNode, zs: Array[Int], tid: Int): Unit =
+    zs.foldLeft(root)((cur, z) => cur.children.getOrElseUpdate(z, new BNode(Array(z)))).tids += tid
 
   /** Greedy hitting-set construction (§III-C + Appendix B): at every level,
     * repeatedly promote the currently most frequent z-value to a child node,
     * claim every remaining set containing it, and subtract the claimed sets'
-    * frequencies (the appendix's `C(Z) − C(Z^z)` differencing).
+    * frequencies (the appendix's `C(Z) − C(Z^z)` differencing). A lone set's
+    * cells become one run in ascending z, the order the greedy picks when
+    * every count is 1.
     */
   private def buildGreedy(
       node: BNode,
       items: mutable.ArrayBuffer[(Array[Int], Int)],
   ): Unit = {
-    var remaining = mutable.ArrayBuffer.empty[(Array[Int], Int)]
-    items.foreach { it =>
-      if (it._1.isEmpty) node.tids += it._2 else remaining += it
+    val (ending, rest) = items.partition(_._1.isEmpty)
+    node.tids ++= ending.map(_._2)
+    var remaining = rest
+    if (remaining.length == 1) {
+      val child = new BNode(remaining(0)._1)
+      child.tids += remaining(0)._2
+      node.children.update(child.run(0), child)
+      return
     }
-    if (remaining.isEmpty) return
     val counts = mutable.HashMap.empty[Int, Int]
     remaining.foreach(_._1.foreach(z => counts.update(z, counts.getOrElse(z, 0) + 1)))
     while (remaining.nonEmpty) {
@@ -243,25 +236,22 @@ object RPTrie {
       counts.foreach { case (z, c) =>
         if (c > bestC || (c == bestC && z < bestZ)) { bestZ = z; bestC = c }
       }
-      val hit = mutable.ArrayBuffer.empty[(Array[Int], Int)]
-      val miss = mutable.ArrayBuffer.empty[(Array[Int], Int)]
-      remaining.foreach { it =>
-        if (java.util.Arrays.binarySearch(it._1, bestZ) >= 0) hit += it else miss += it
-      }
+      val (hit, miss) = remaining.partition(it => java.util.Arrays.binarySearch(it._1, bestZ) >= 0)
       hit.foreach(_._1.foreach { z =>
         val c = counts(z) - 1
         if (c == 0) counts.remove(z) else counts.update(z, c)
       })
-      val child = new BNode(bestZ)
+      val child = new BNode(Array(bestZ))
       node.children.update(bestZ, child)
       buildGreedy(child, hit.map { case (zs, tid) => (zs.filter(_ != bestZ), tid) })
       remaining = miss
     }
   }
 
-  /** Compute accepting-node payloads (HR point values, D_max) by DFS carrying
-    * the z-path, then propagate HR ranges and maxDev bottom-up. Returns the
-    * number of nodes.
+  /** Merge every unary chain of non-root nodes without trajectory ids into
+    * one node, compute accepting-node payloads (HR point values, D_max) by DFS
+    * carrying the z-path, then propagate HR ranges and maxDev bottom-up.
+    * Returns the number of nodes.
     */
   private def computePayloads(
       root: BNode,
@@ -295,9 +285,20 @@ object RPTrie {
         node.maxDev = dm
       }
       node.children.valuesIterator.foreach { c =>
-        path += c.z
+        var end = c
+        val run = mutable.ArrayBuilder.make[Int]
+        while (end.tids.isEmpty && end.children.size == 1) {
+          run ++= end.run
+          end = end.children.head._2
+        }
+        if (end ne c) {
+          c.run = (run ++= end.run).result()
+          c.children = end.children
+          c.tids = end.tids
+        }
+        path ++= c.run
         visit(c)
-        path.remove(path.length - 1)
+        path.remove(path.length - c.run.length, c.run.length)
         var p = 0
         while (p < np) {
           if (c.hrMin(p) < node.hrMin(p)) node.hrMin(p) = c.hrMin(p)
@@ -336,10 +337,9 @@ object RPTrie {
     var levelEnd = 0
     var denseCount = 0
     var bc = Array.emptyLongArray
-    var csrStart: Array[Int] = null // allocated at the first sparse level
-    val csrLabels = new Array[Int](n - 1)
-    var labels = 0
-    val firstChild = new Array[Int](n)
+    val firstChild = new Array[Int](n + 1)
+    val runStart = new Array[Int](n + 1)
+    val runLabels = mutable.ArrayBuilder.make[Int]
     val tidStart = new Array[Int](n + 1)
     val tidArr = new Array[Int](numTids)
     val dmaxArr = new Array[Double](n)
@@ -350,24 +350,22 @@ object RPTrie {
     var v = 0
     while (v < n) {
       if (v == levelEnd) {
-        if (csrStart == null) {
-          if (denseAllowed && next <= denseNodeMax) {
-            denseCount = next
-            bc = java.util.Arrays.copyOf(bc, denseCount * wordsPerNode)
-          } else csrStart = new Array[Int](n - denseCount + 1)
+        // Every level so far was dense exactly when v == denseCount.
+        if (v == denseCount && denseAllowed && next <= denseNodeMax) {
+          denseCount = next
+          bc = java.util.Arrays.copyOf(bc, denseCount * wordsPerNode)
         }
         levelEnd = next
       }
       val b = bfs(v)
-      val kids = b.children.values.toArray.sortBy(_.z)
-      firstChild(v) = if (kids.isEmpty) -1 else next
-      kids.foreach { c =>
+      runLabels ++= b.run
+      runStart(v + 1) = runStart(v) + b.run.length
+      firstChild(v) = next
+      b.children.values.toArray.sortBy(_.run(0)).foreach { c =>
         bfs(next) = c
         next += 1
-        if (v < denseCount) bc(v * wordsPerNode + (c.z >> 6)) |= 1L << (c.z & 63)
-        else { csrLabels(labels) = c.z; labels += 1 }
+        if (v < denseCount) bc(v * wordsPerNode + (c.run(0) >> 6)) |= 1L << (c.run(0) & 63)
       }
-      if (v >= denseCount) csrStart(v - denseCount + 1) = labels
       b.tids.copyToArray(tidArr, tidStart(v))
       tidStart(v + 1) = tidStart(v) + b.tids.length
       dmaxArr(v) = b.dmax
@@ -376,11 +374,11 @@ object RPTrie {
       System.arraycopy(b.hrMax, 0, hrMaxArr, v * np, np)
       v += 1
     }
-    if (csrStart == null) csrStart = new Array[Int](1) // every level dense
+    firstChild(n) = n
 
     new RPTrie(
-      grid, measure, pivots, n, denseCount, wordsPerNode, bc, firstChild,
-      csrStart, java.util.Arrays.copyOf(csrLabels, labels),
-      tidStart, tidArr, dmaxArr, maxDevArr, hrMinArr, hrMaxArr)
+      grid, measure, pivots, denseCount, wordsPerNode, bc, firstChild,
+      runStart, runLabels.result(), tidStart, tidArr, dmaxArr, maxDevArr,
+      hrMinArr, hrMaxArr)
   }
 }

@@ -25,18 +25,17 @@ final case class Extended(state: BState, lbO: Double, refCore: Double)
   * trie paths (Lemmas 2–4), which licenses best-first early termination.
   */
 sealed trait BoundsOps {
-  def q: Array[Point]
-  def grid: ZGrid
   /** State of the root node (no reference points consumed yet). */
   def rootState: BState
   /** Extend by the child cell `z` — Algorithm 1 / Eq. 9 / Eq. 15. */
   def extend(s: BState, z: Int): Extended
   /** Two-side bound for one trajectory of length `n` in a leaf with the given
-    * `D_max` and extension result.
+    * `D_max` and extension result; by default Eq. 3's, `refCore − D_max`.
     */
-  def leafTidLB(refCore: Double, dmax: Double, n: Int): Double
+  def leafTidLB(refCore: Double, dmax: Double, n: Int): Double =
+    math.max(refCore - dmax, 0.0)
   /** Whether lbO grows monotonically down the trie (early-break soundness). */
-  def monotone: Boolean
+  def monotone: Boolean = true
 }
 
 object BoundsOps {
@@ -73,9 +72,6 @@ final class HausdorffOps(val q: Array[Point], val grid: ZGrid) extends BoundsOps
     val cmax = math.max(s.aux, c)
     Extended(BState(r, cmax), math.max(cmax - grid.halfDiag, 0.0), math.max(rmax, cmax))
   }
-  def leafTidLB(refCore: Double, dmax: Double, n: Int): Double =
-    math.max(refCore - dmax, 0.0)
-  def monotone: Boolean = true
 }
 
 /** Discrete Fréchet (Eq. 7–9): state = DP column f[0..m] with boundary
@@ -104,9 +100,6 @@ final class FrechetOps(val q: Array[Point], val grid: ZGrid) extends BoundsOps {
     }
     Extended(BState(f, 0.0), math.max(cmin - grid.halfDiag, 0.0), f(m))
   }
-  def leafTidLB(refCore: Double, dmax: Double, n: Int): Double =
-    math.max(refCore - dmax, 0.0)
-  def monotone: Boolean = true
 }
 
 /** DTW (Eq. 13–15): DP column over d′(q, cell) (cell-rectangle min distance —
@@ -133,8 +126,7 @@ final class DTWOps(val q: Array[Point], val grid: ZGrid) extends BoundsOps {
     }
     Extended(BState(f, 0.0), cmin, f(m))
   }
-  def leafTidLB(refCore: Double, dmax: Double, n: Int): Double = refCore
-  def monotone: Boolean = true
+  override def leafTidLB(refCore: Double, dmax: Double, n: Int): Double = refCore
 }
 
 /** ERP with gap point g: DP column of cost under-estimates. Matching a τ
@@ -172,8 +164,7 @@ final class ERPOps(val q: Array[Point], val grid: ZGrid, g: Point) extends Bound
     }
     Extended(BState(e, 0.0), cmin, e(m))
   }
-  def leafTidLB(refCore: Double, dmax: Double, n: Int): Double = refCore
-  def monotone: Boolean = true
+  override def leafTidLB(refCore: Double, dmax: Double, n: Int): Double = refCore
 }
 
 /** LCSS distance 1 − LCSS/min(m, n): the column holds an *upper* bound on the
@@ -196,11 +187,11 @@ final class LCSSOps(val q: Array[Point], val grid: ZGrid, eps: Double) extends B
     }
     Extended(BState(l, 0.0), 0.0, l(m))
   }
-  def leafTidLB(refCore: Double, dmax: Double, n: Int): Double = {
+  override def leafTidLB(refCore: Double, dmax: Double, n: Int): Double = {
     val denom = math.min(m, n).toDouble
     1.0 - math.min(refCore, denom) / denom
   }
-  def monotone: Boolean = false
+  override def monotone: Boolean = false
 }
 
 /** EDR: DP column of edit-cost under-estimates — cell-feasible matches cost
@@ -230,7 +221,7 @@ final class EDROps(val q: Array[Point], val grid: ZGrid, eps: Double) extends Bo
     }
     Extended(BState(e, 0.0), 0.0, e(m))
   }
-  def leafTidLB(refCore: Double, dmax: Double, n: Int): Double =
+  override def leafTidLB(refCore: Double, dmax: Double, n: Int): Double =
     math.max(refCore, math.abs(m - n).toDouble)
-  def monotone: Boolean = false
+  override def monotone: Boolean = false
 }

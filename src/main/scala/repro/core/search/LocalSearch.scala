@@ -7,31 +7,30 @@ import repro.core.rptrie.RPTrie
 
 /** Best-first top-k search over an RP-Trie (§IV, Algorithm 2).
   *
-  * Nodes are expanded in ascending `LB_o` order. For measures with monotone
-  * `LB_o` (Lemmas 2–4) the search terminates as soon as the popped bound
-  * reaches the current k-th distance `d_k`. `LB_p` (pivot bound, Eq. 5 — see
-  * DESIGN.md for the two-sided correction) prunes whole subtrees via
-  * `continue`; `LB_t` (two-side bound, Eq. 3) prunes individual trajectories
-  * in accepting nodes.
+  * The search visits the per-label trie's nodes in ascending `LB_o` order.
+  * For measures with monotone `LB_o` (Lemmas 2–4) it terminates as soon as
+  * the popped bound exceeds the current k-th distance `d_k`. `LB_p` (pivot
+  * bound, Eq. 5 — see DESIGN.md for the two-sided correction) prunes whole
+  * subtrees via `continue`; `LB_t` (two-side bound, Eq. 3) prunes individual
+  * trajectories in accepting nodes.
+  * A queue entry is a position in a node's run; a popped entry extends its
+  * run in place while each new `LB_o` would be popped next anyway, and a
+  * parent extends only its children's first labels. `LB_p` is per node.
   * Ties go by id: a node bound equal to `d_k` cuts nothing, and a trajectory
   * with `LB_t = d_k` is still evaluated when its id is below the k-th id.
   */
 object LocalSearch {
 
-  /** Optional instrumentation for pruning-effectiveness tests. */
+  /** Search counters, summed over every search it is passed to. */
   final class Stats {
     var nodesPopped: Long = 0L
     var nodesPushed: Long = 0L
+    var labelsExtended: Long = 0L
     var exactDistances: Long = 0L
   }
 
-  private final case class SNode(
-      handle: Int,
-      lbO: Double,
-      lbP: Double,
-      refCore: Double,
-      state: BState,
-  )
+  /** Node `handle` with its run extended up to label index `pos` (exclusive). */
+  private final case class SNode(handle: Int, pos: Int, lbP: Double, ext: Extended)
 
   /** Exact top-k of `q` among `trajs` under `trie.measure`. Returns at most
     * k (trajectoryId, distance) pairs sorted by (distance, id): the first k
@@ -42,7 +41,7 @@ object LocalSearch {
       trajs: Array[Trajectory],
       q: Array[Point],
       k: Int,
-      stats: Stats = null,
+      stats: Stats = new Stats,
   ): Array[(Long, Double)] = {
     if (k <= 0 || trajs.isEmpty) return Array.empty
     val measure = trie.measure
@@ -54,50 +53,61 @@ object LocalSearch {
 
     // Pivot bound for a node (both triangle directions, deviation-corrected).
     def pivotLB(v: Int): Double = {
+      val dev = trie.maxDev(v)
       var lb = 0.0
       var p = 0
       while (p < np) {
-        val dev = trie.maxDev(v)
-        val a = dqp(p) - trie.hrMax(v, p) - dev
-        val b = trie.hrMin(v, p) - dev - dqp(p)
-        val x = math.max(a, b)
+        val x = math.max(dqp(p) - trie.hrMax(v, p) - dev, trie.hrMin(v, p) - dev - dqp(p))
         if (x > lb) lb = x
         p += 1
       }
       lb
     }
 
-    val pq = mutable.PriorityQueue.empty[SNode](Ordering.by[SNode, Double](_.lbO).reverse)
-    pq.enqueue(SNode(trie.root, 0.0, 0.0, 0.0, ops.rootState))
+    val pq = mutable.PriorityQueue.empty[SNode](Ordering.by[SNode, Double](_.ext.lbO).reverse)
+    def push(t: SNode): Unit = { pq.enqueue(t); stats.nodesPushed += 1 }
+    def extend(s: BState, z: Int): Extended = { stats.labelsExtended += 1; ops.extend(s, z) }
+    pq.enqueue(SNode(trie.root, 0, 0.0, Extended(ops.rootState, 0.0, 0.0)))
 
     var done = false
     while (pq.nonEmpty && !done) {
       val t = pq.dequeue()
-      if (stats != null) stats.nodesPopped += 1
-      if (ops.monotone && t.lbO > best.dk) done = true // all remaining > d_k
-      else if (t.lbP > best.dk || t.lbO > best.dk) ()  // subtree pruned; continue
+      stats.nodesPopped += 1
+      if (ops.monotone && t.ext.lbO > best.dk) done = true // all remaining > d_k
+      else if (t.lbP > best.dk || t.ext.lbO > best.dk) ()  // subtree pruned; continue
       else {
-        var i = trie.tidFrom(t.handle)
-        val until = trie.tidUntil(t.handle)
-        if (i < until) { // D_max is read only at accepting nodes
-          val dm = trie.dmax(t.handle)
-          while (i < until) {
-            val traj = trajs(trie.tidAt(i))
-            if (best.admits(ops.leafTidLB(t.refCore, dm, traj.length), traj.id)) {
-              val d = measure.dist(q, traj.points)
-              if (stats != null) stats.exactDistances += 1
-              best.offer(traj.id, d)
-            }
-            i += 1
+        val v = t.handle
+        var cur = t.ext
+        var pos = t.pos
+        while (cur != null && pos < trie.runUntil(v)) {
+          val ext = extend(cur.state, trie.labelAt(pos))
+          pos += 1
+          if (ext.lbO <= best.dk && (pq.isEmpty || ext.lbO <= pq.head.ext.lbO)) cur = ext
+          else { // not next in line: cut or wait in the queue
+            if (!(ops.monotone && ext.lbO > best.dk)) push(SNode(v, pos, t.lbP, ext))
+            cur = null
           }
         }
-        trie.foreachChild(t.handle) { (z, c) =>
-          val ext = ops.extend(t.state, z)
-          if (!(ops.monotone && ext.lbO > best.dk)) {
-            val lp = if (np > 0) pivotLB(c) else 0.0
-            if (lp <= best.dk) {
-              pq.enqueue(SNode(c, ext.lbO, lp, ext.refCore, ext.state))
-              if (stats != null) stats.nodesPushed += 1
+        if (cur != null) { // at the run's end: node v itself
+          val at = cur
+          var i = trie.tidFrom(v)
+          val until = trie.tidUntil(v)
+          if (i < until) { // D_max is read only at accepting nodes
+            val dm = trie.dmax(v)
+            while (i < until) {
+              val traj = trajs(trie.tidAt(i))
+              if (best.admits(ops.leafTidLB(at.refCore, dm, traj.length), traj.id)) {
+                stats.exactDistances += 1
+                best.offer(traj.id, measure.dist(q, traj.points))
+              }
+              i += 1
+            }
+          }
+          trie.foreachChild(v) { (z, c) =>
+            val ext = extend(at.state, z)
+            if (!(ops.monotone && ext.lbO > best.dk)) {
+              val lp = if (np > 0) pivotLB(c) else 0.0
+              if (lp <= best.dk) push(SNode(c, trie.runFrom(c) + 1, lp, ext))
             }
           }
         }

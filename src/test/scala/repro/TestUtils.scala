@@ -3,6 +3,7 @@ package repro
 import scala.util.Random
 
 import repro.core._
+import repro.core.rptrie.RPTrie
 
 /** Shared helpers for unit and integration tests. */
 object TestUtils {
@@ -80,6 +81,10 @@ object TestUtils {
     assert(got.sameElements(expected),
       s"got ${got.mkString(", ")}; expected ${expected.mkString(", ")}")
   }
+
+  /** The run of z-labels on the edge into trie node `v`. */
+  def run(trie: RPTrie, v: Int): Seq[Int] =
+    (trie.runFrom(v) until trie.runUntil(v)).map(trie.labelAt)
 
   /** Table II trajectories of the paper's running example. */
   def paperTrajs: Array[Trajectory] = Array(

@@ -67,6 +67,14 @@ class DFTSuite extends SparkSpec {
     }
   }
 
+  test("homogeneous DFT rejects a repeated id on the driver, naming the smallest") {
+    val dup = trajs ++ Seq(trajs(250).copy(points = trajs(3).points), trajs(17))
+    val e = intercept[IllegalArgumentException] {
+      DFT.build(spark.sparkContext.parallelize(dup.toIndexedSeq, 6), Hausdorff, numPartitions = 4)
+    }
+    assert(e.getMessage.contains("trajectory id 17 "), e.getMessage)
+  }
+
   test("Heter-DFT (heterogeneous trajectory placement) stays exact") {
     val idx = DFT.build(rdd, Hausdorff, numPartitions = 4, heterogeneous = true)
     try {

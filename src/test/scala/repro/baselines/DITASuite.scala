@@ -35,6 +35,14 @@ class DITASuite extends SparkSpec {
     }
   }
 
+  test("DITA rejects a repeated id on the driver, naming the smallest") {
+    val dup = trajs ++ Seq(trajs(250).copy(points = trajs(3).points), trajs(17))
+    val e = intercept[IllegalArgumentException] {
+      DITA.build(spark.sparkContext.parallelize(dup.toIndexedSeq, 6), Frechet, numPartitions = 4)
+    }
+    assert(e.getMessage.contains("trajectory id 17 "), e.getMessage)
+  }
+
   test("DITA rejects Hausdorff (unsupported, '/' in Table IV)") {
     intercept[IllegalArgumentException] {
       DITA.build(rdd, Hausdorff, numPartitions = 4)

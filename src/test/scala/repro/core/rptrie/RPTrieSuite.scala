@@ -13,13 +13,19 @@ class RPTrieSuite extends AnyFunSuite {
 
   private val grid8 = TestUtils.paperGrid
 
-  /** Walk a z-sequence from the root; None if some edge is missing. */
+  /** Walk a z-sequence from the root along whole runs; None if it leaves
+    * the trie or ends inside a run.
+    */
   private def walk(trie: RPTrie, zs: Array[Int]): Option[Int] = {
     var cur = trie.root
-    for (z <- zs) {
+    var i = 0
+    while (i < zs.length) {
       var next = -1
-      trie.foreachChild(cur)((cz, c) => if (cz == z) next = c)
+      trie.foreachChild(cur)((cz, c) => if (cz == zs(i)) next = c)
       if (next == -1) return None
+      val run = TestUtils.run(trie, next)
+      if (zs.slice(i, i + run.length).toSeq != run) return None
+      i += run.length
       cur = next
     }
     Some(cur)
@@ -31,9 +37,9 @@ class RPTrieSuite extends AnyFunSuite {
   private def paths(trie: RPTrie): Map[Int, List[Int]] = {
     val out = mutable.Map(trie.root -> List.empty[Int])
     def go(v: Int, path: List[Int]): Unit =
-      trie.foreachChild(v) { (z, c) =>
-        out(c) = path :+ z
-        go(c, path :+ z)
+      trie.foreachChild(v) { (_, c) =>
+        out(c) = path ++ TestUtils.run(trie, c)
+        go(c, out(c))
       }
     go(trie.root, Nil)
     out.toMap
@@ -66,7 +72,7 @@ class RPTrieSuite extends AnyFunSuite {
       val zs = grid.refSeq(t.points).toList
       (1 to zs.length).foreach(i => prefixes += zs.take(i))
     }
-    assert(trie.numNodes == prefixes.size + 1)
+    assert(trie.numLabels + 1 == prefixes.size + 1) // per-label nodes
   }
 
   test("prefix trajectories terminate at internal accepting nodes ($ behaviour)") {
@@ -121,7 +127,8 @@ class RPTrieSuite extends AnyFunSuite {
   test("Example 3: optimized trie has 12 nodes (Fig. 10)") {
     val (trajs, g) = tableXTrajs
     val trie = RPTrie.build(trajs, g, Hausdorff, optimized = true)
-    assert(trie.numNodes == 12)
+    assert(trie.numLabels + 1 == 12) // per-label nodes
+    assert(trie.numNodes == 11)      // only the chain 0101 → 0110 merges
   }
 
   test("z-rearrangement merges reversed trajectories (Fig. 3 effect)") {
@@ -129,9 +136,9 @@ class RPTrieSuite extends AnyFunSuite {
     val b = Trajectory(1, Array(Point(1.5, 1.5), Point(0.5, 0.5)))
     val plain = RPTrie.build(Array(a, b), grid8, Hausdorff, optimized = false)
     val opt = RPTrie.build(Array(a, b), grid8, Hausdorff, optimized = true)
-    assert(plain.numNodes == 5) // root + two 2-node chains
-    assert(opt.numNodes == 3)   // root + shared chain of 2
-    assert(opt.numNodes < plain.numNodes)
+    assert(plain.numLabels + 1 == 5) // root + two 2-node chains
+    assert(opt.numLabels + 1 == 3)   // root + shared chain of 2
+    assert(plain.numNodes == 3 && opt.numNodes == 2) // one run per chain
   }
 
   test("optimized trie never has more nodes than the plain trie (random data)") {
@@ -139,7 +146,7 @@ class RPTrieSuite extends AnyFunSuite {
       val ts = TestUtils.randomTrajs(80, maxLen = 12, seed = seed)
       val plain = RPTrie.build(ts, grid, Hausdorff, optimized = false)
       val opt = RPTrie.build(ts, grid, Hausdorff, optimized = true)
-      assert(opt.numNodes <= plain.numNodes, s"seed $seed: ${opt.numNodes} > ${plain.numNodes}")
+      assert(opt.numLabels <= plain.numLabels, s"seed $seed: ${opt.numLabels} > ${plain.numLabels}")
     }
   }
 

@@ -30,6 +30,7 @@ class SuccinctSuite extends AnyFunSuite {
       val ac = children(a, v)
       val bc = children(b, v)
       assert(ac == bc, s"children differ at node $v: $ac vs $bc")
+      assert(TestUtils.run(a, v) == TestUtils.run(b, v), s"runs differ at node $v")
       assert(a.childCount(v) == b.childCount(v))
       assert(a.childCount(v) == ac.length)
       assert(a.tids(v).toSeq == b.tids(v).toSeq, s"tids differ at $v")

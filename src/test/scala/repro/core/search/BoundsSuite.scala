@@ -34,14 +34,20 @@ class BoundsSuite extends AnyFunSuite {
     out.toMap
   }
 
-  /** DFS visiting every node with its extension result. */
+  /** DFS visiting every label of every node's run with its extension
+    * result, the previous label's, and whether the label ends the run.
+    */
   private def visitAll(trie: RPTrie, ops: BoundsOps)(
-      f: (Int, Extended, Option[Extended]) => Unit): Unit = {
+      f: (Int, Extended, Option[Extended], Boolean) => Unit): Unit = {
     def go(v: Int, ext: Extended): Unit =
-      trie.foreachChild(v) { (z, c) =>
-        val e = ops.extend(ext.state, z)
-        f(c, e, Some(ext))
-        go(c, e)
+      trie.foreachChild(v) { (_, c) =>
+        var last = ext
+        for (i <- trie.runFrom(c) until trie.runUntil(c)) {
+          val e = ops.extend(last.state, trie.labelAt(i))
+          f(c, e, Some(last), i == trie.runUntil(c) - 1)
+          last = e
+        }
+        go(c, last)
       }
     val rootExt = Extended(ops.rootState, 0.0, 0.0)
     go(trie.root, rootExt)
@@ -54,7 +60,7 @@ class BoundsSuite extends AnyFunSuite {
     val sub = subtreeTids(trie)
 
     test(s"${m.name}: LB_o under-estimates the distance to every subtree trajectory") {
-      visitAll(trie, ops) { (v, ext, _) =>
+      visitAll(trie, ops) { (v, ext, _, _) =>
         sub(v).foreach { tid =>
           val d = m.dist(q, trajs(tid).points)
           assert(ext.lbO <= d + 1e-9,
@@ -64,9 +70,9 @@ class BoundsSuite extends AnyFunSuite {
     }
 
     test(s"${m.name}: LB_t (leaf bound) under-estimates stored trajectory distances") {
-      visitAll(trie, ops) { (v, ext, _) =>
+      visitAll(trie, ops) { (v, ext, _, runEnd) =>
         val ts = trie.tids(v)
-        if (ts.nonEmpty) {
+        if (runEnd && ts.nonEmpty) {
           val dm = trie.dmax(v)
           ts.foreach { tid =>
             val lb = ops.leafTidLB(ext.refCore, dm, trajs(tid).length)
@@ -80,7 +86,7 @@ class BoundsSuite extends AnyFunSuite {
 
     if (ops.monotone) {
       test(s"${m.name}: LB_o is monotone non-decreasing down the trie (Lemma 2)") {
-        visitAll(trie, ops) { (v, ext, parent) =>
+        visitAll(trie, ops) { (v, ext, parent, _) =>
           parent.foreach(p => assert(ext.lbO >= p.lbO - 1e-9,
             s"${m.name}: node $v lbO ${ext.lbO} < parent ${p.lbO}"))
         }

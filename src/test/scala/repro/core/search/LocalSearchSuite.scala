@@ -21,14 +21,16 @@ class LocalSearchSuite extends AnyFunSuite {
     TestUtils.randomQuery(12, seed = 79L),
   )
 
-  // `succinct=true` is the index's own encoding: dense child bitmaps on the
-  // upper levels, sparse labels below. `succinct=false` keeps a full child
-  // bitmap at every node, the uncompressed fixed fan-out layout, and
-  // `all-sparse` has no dense level at all; the search must be exact on
-  // either end of the split as well.
+  // `succinct=true` is the index's split: dense child bitmaps on the upper
+  // levels, sparse labels below. These path-compressed tries have ~180
+  // nodes, within the index's own `DenseNodeMax`, so the split is set lower
+  // to keep both parts. `succinct=false` keeps a full child bitmap at every
+  // node, the uncompressed fixed fan-out layout, and `all-sparse` has no
+  // dense level at all; the search must be exact on either end of the split
+  // as well.
   private val encodings = Seq(
     "succinct=false" -> Int.MaxValue,
-    "succinct=true" -> RPTrie.DenseNodeMax,
+    "succinct=true" -> 64,
     "all-sparse" -> 0,
   )
 
@@ -135,6 +137,20 @@ class LocalSearchSuite extends AnyFunSuite {
     val stats = new LocalSearch.Stats
     LocalSearch.topK(trie, big, queries.head, 5, stats)
     assert(stats.nodesPopped < trie.numNodes)
+  }
+
+  test("a one-trajectory trie pops the root and its run end, extending each label once") {
+    val grid = ZGrid.fit(MBR(0, 0, 10, 10), 0.25)
+    val one = trajs.take(1)
+    for (m <- measures; optimized <- Seq(false, true)) {
+      val trie = RPTrie.build(one, grid, m, optimized = optimized)
+      assert(trie.numNodes == 2 && trie.numLabels > 1)
+      val stats = new LocalSearch.Stats
+      LocalSearch.topK(trie, one, queries.head, 1, stats)
+      assert(stats.nodesPopped == 2, m.name)
+      assert(stats.labelsExtended == trie.numLabels, m.name)
+      assert(stats.exactDistances == 1, m.name)
+    }
   }
 
   test("duplicate trajectories share a leaf and are all returned") {

@@ -1,0 +1,87 @@
+package repro.core.search
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+import org.scalatest.funsuite.AnyFunSuite
+
+import repro.TestUtils
+import repro.core._
+import repro.core.rptrie.RPTrie
+
+/** Property tests over random data: for every measure, trie variant and
+  * encoding, the path-compressed trie's runs are maximal and spell every
+  * trajectory's reference sequence (or set), and the search over it returns
+  * the brute-force top-k. Fine grids make the runs long.
+  */
+class TriePropertySuite extends AnyFunSuite {
+
+  private val measures: Seq[Measure] = Seq(
+    Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
+
+  private val encodings = Seq(
+    "default" -> RPTrie.DenseNodeMax,
+    "all-dense" -> Int.MaxValue,
+    "all-sparse" -> 0,
+  )
+
+  /** (data, query, k, δ); tied data holds every trajectory twice. */
+  private val cases = for {
+    n <- Gen.choose(1, 40)
+    maxLen <- Gen.choose(3, 30)
+    seed <- Gen.long
+    tied <- Gen.oneOf(false, true)
+    qLen <- Gen.choose(1, 12)
+    k <- Gen.choose(1, 12)
+    delta <- Gen.oneOf(0.1, 0.25, 0.5)
+  } yield {
+    val data =
+      if (tied) TestUtils.tiedTrajs(n, maxLen, seed) else TestUtils.randomTrajs(n, maxLen, seed = seed)
+    (data, TestUtils.randomQuery(qLen, seed = seed + 1), k, delta)
+  }
+
+  /** Asserts, for every accepting node, that the runs from the root spell
+    * each of its trajectories' reference sequence (or, on the greedy trie,
+    * an ordering of its reference set).
+    */
+  private def assertPathsSpellReferences(
+      trie: RPTrie, trajs: Array[Trajectory], greedy: Boolean): Unit = {
+    def go(v: Int, path: Seq[Int]): Unit = {
+      trie.tids(v).foreach { tid =>
+        val pts = trajs(tid).points
+        if (greedy) assert(path.sorted == trie.grid.refSet(pts).toSeq && path.distinct == path)
+        else assert(path == trie.grid.refSeq(pts).toSeq)
+      }
+      trie.foreachChild(v)((_, c) => go(c, path ++ TestUtils.run(trie, c)))
+    }
+    go(trie.root, Vector.empty)
+  }
+
+  private def check(prop: Prop): Unit = {
+    val params = Test.Parameters.default.withMinSuccessfulTests(25).withInitialSeed(Seed(42L))
+    val res = Test.check(params, prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  for {
+    m <- measures
+    optimized <- Seq(false, true)
+    (encoding, denseNodeMax) <- encodings
+  } {
+    test(s"compressed trie is exact and maximal: ${m.name} optimized=$optimized $encoding") {
+      check(Prop.forAll(cases) { case (trajs, q, k, delta) =>
+        val grid = ZGrid.fit(MBR(0, 0, 10, 10), delta)
+        val trie = RPTrie.build(trajs, grid, m, np = 3, optimized = optimized,
+          denseNodeMax = denseNodeMax)
+        for (v <- 1 until trie.numNodes) {
+          assert(trie.runUntil(v) > trie.runFrom(v), s"node $v has an empty run")
+          assert(trie.tids(v).nonEmpty || trie.childCount(v) >= 2, s"node $v is not maximal")
+        }
+        assertPathsSpellReferences(trie, trajs, optimized && m.orderIndependent)
+        TestUtils.assertTopKEqual(LocalSearch.topK(trie, trajs, q, k),
+          TestUtils.bruteTopK(trajs, q, k, m), trajs, q, m)
+        true
+      })
+    }
+  }
+}
