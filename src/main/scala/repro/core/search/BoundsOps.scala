@@ -36,6 +36,11 @@ sealed trait BoundsOps {
     math.max(refCore - dmax, 0.0)
   /** Whether lbO grows monotonically down the trie (early-break soundness). */
   def monotone: Boolean = true
+  /** Tests trajectory `t` with id `id` against this measure's per-trajectory
+    * bounds, cheapest first, each with `best.admits`. Returns `Admitted`, or
+    * the bound that cut `t`. None applies by default.
+    */
+  def cascade(t: Array[Point], id: Long, best: TopK): Int = BoundsOps.Admitted
 }
 
 object BoundsOps {
@@ -48,6 +53,39 @@ object BoundsOps {
       case LCSS(e)   => new LCSSOps(q, grid, e)
       case EDR(e)    => new EDROps(q, grid, e)
     }
+
+  /** Outcomes of `cascade`. */
+  final val Admitted = 0
+  final val CutByEndpoint = 1
+  final val CutByMbr = 2
+
+  /** max(d(q₁, τ₁), d(q_m, τ_n)): a Fréchet coupling pairs both ends. */
+  def endpointLB(q: Array[Point], t: Array[Point]): Double =
+    math.max(q(0).dist(t(0)), q(q.length - 1).dist(t(t.length - 1)))
+
+  /** max over i of mindist(q_i, MBR(τ)): Hausdorff and Fréchet match every
+    * query point to some point of τ, and none is nearer than τ's MBR.
+    */
+  def mbrMaxLB(q: Array[Point], t: Array[Point]): Double = {
+    val box = MBR(t)
+    var lb = 0.0
+    var i = 0
+    while (i < q.length) { lb = math.max(lb, box.minDist(q(i))); i += 1 }
+    lb
+  }
+
+  /** Σ over i of mindist(q_i, MBR(τ)), summed in i order: a DTW warping path
+    * visits every row in that order, and its first cell in row i costs at
+    * least the i-th term here. Rounding is monotone, so the rounded sums
+    * keep that order too.
+    */
+  def mbrSumLB(q: Array[Point], t: Array[Point]): Double = {
+    val box = MBR(t)
+    var lb = 0.0
+    var i = 0
+    while (i < q.length) { lb += box.minDist(q(i)); i += 1 }
+    lb
+  }
 }
 
 /** Hausdorff (Alg. 1): state = (r[1..m], c_max). LB_o = max(c_max − √2δ/2, 0)
@@ -72,6 +110,9 @@ final class HausdorffOps(val q: Array[Point], val grid: ZGrid) extends BoundsOps
     val cmax = math.max(s.aux, c)
     Extended(BState(r, cmax), math.max(cmax - grid.halfDiag, 0.0), math.max(rmax, cmax))
   }
+  override def cascade(t: Array[Point], id: Long, best: TopK): Int =
+    if (!best.admits(BoundsOps.mbrMaxLB(q, t), id)) BoundsOps.CutByMbr
+    else BoundsOps.Admitted
 }
 
 /** Discrete Fréchet (Eq. 7–9): state = DP column f[0..m] with boundary
@@ -100,6 +141,10 @@ final class FrechetOps(val q: Array[Point], val grid: ZGrid) extends BoundsOps {
     }
     Extended(BState(f, 0.0), math.max(cmin - grid.halfDiag, 0.0), f(m))
   }
+  override def cascade(t: Array[Point], id: Long, best: TopK): Int =
+    if (!best.admits(BoundsOps.endpointLB(q, t), id)) BoundsOps.CutByEndpoint
+    else if (!best.admits(BoundsOps.mbrMaxLB(q, t), id)) BoundsOps.CutByMbr
+    else BoundsOps.Admitted
 }
 
 /** DTW (Eq. 13–15): DP column over d′(q, cell) (cell-rectangle min distance —
@@ -127,6 +172,9 @@ final class DTWOps(val q: Array[Point], val grid: ZGrid) extends BoundsOps {
     Extended(BState(f, 0.0), cmin, f(m))
   }
   override def leafTidLB(refCore: Double, dmax: Double, n: Int): Double = refCore
+  override def cascade(t: Array[Point], id: Long, best: TopK): Int =
+    if (!best.admits(BoundsOps.mbrSumLB(q, t), id)) BoundsOps.CutByMbr
+    else BoundsOps.Admitted
 }
 
 /** ERP with gap point g: DP column of cost under-estimates. Matching a τ

@@ -16,17 +16,31 @@ import repro.core.rptrie.RPTrie
   * A queue entry is a position in a node's run; a popped entry extends its
   * run in place while each new `LB_o` would be popped next anyway, and a
   * parent extends only its children's first labels. `LB_p` is per node.
-  * Ties go by id: a node bound equal to `d_k` cuts nothing, and a trajectory
-  * with `LB_t = d_k` is still evaluated when its id is below the k-th id.
+  * Once the heap holds k, a trajectory that passes `LB_t` goes through the
+  * measure's per-trajectory cascade (`BoundsOps.cascade`) and then its exact
+  * kernel bounded by `d_k` (`Measure.distWithin`).
+  * Ties go by id: a node bound equal to `d_k` cuts nothing, a trajectory
+  * with `LB_t = d_k` is still evaluated when its id is below the k-th id,
+  * and a kernel stops early only above `d_k`.
   */
 object LocalSearch {
 
-  /** Search counters, summed over every search it is passed to. */
+  /** Search counters, summed over every search it is passed to.
+    * `exactDistances` counts kernel runs, `exactBeforeFull` those made
+    * while d_k was +∞. Once the heap holds k, a trajectory that `LB_t`
+    * admits is cut by the endpoint or the MBR bound (`cutByEndpoint`,
+    * `cutByMbr`), or its kernel runs bounded by d_k; `abandoned` counts the
+    * runs that came back above d_k, whether they stopped early or not.
+    */
   final class Stats {
     var nodesPopped: Long = 0L
     var nodesPushed: Long = 0L
     var labelsExtended: Long = 0L
     var exactDistances: Long = 0L
+    var exactBeforeFull: Long = 0L
+    var cutByEndpoint: Long = 0L
+    var cutByMbr: Long = 0L
+    var abandoned: Long = 0L
   }
 
   /** Node `handle` with its run extended up to label index `pos` (exclusive). */
@@ -64,6 +78,23 @@ object LocalSearch {
       lb
     }
 
+    // An `LB_t` survivor: exact while d_k = +∞, else the cascade and then
+    // the kernel bounded by d_k.
+    def evaluate(t: Trajectory): Unit =
+      if (!best.full) {
+        stats.exactDistances += 1
+        stats.exactBeforeFull += 1
+        best.offer(t.id, measure.dist(q, t.points))
+      } else ops.cascade(t.points, t.id, best) match {
+        case BoundsOps.CutByEndpoint => stats.cutByEndpoint += 1
+        case BoundsOps.CutByMbr => stats.cutByMbr += 1
+        case _ =>
+          stats.exactDistances += 1
+          val dk = best.dk
+          val d = measure.distWithin(q, t.points, dk)
+          if (d > dk) stats.abandoned += 1 else best.offer(t.id, d)
+      }
+
     val pq = mutable.PriorityQueue.empty[SNode](Ordering.by[SNode, Double](_.ext.lbO).reverse)
     def push(t: SNode): Unit = { pq.enqueue(t); stats.nodesPushed += 1 }
     def extend(s: BState, z: Int): Extended = { stats.labelsExtended += 1; ops.extend(s, z) }
@@ -96,10 +127,7 @@ object LocalSearch {
             val dm = trie.dmax(v)
             while (i < until) {
               val traj = trajs(trie.tidAt(i))
-              if (best.admits(ops.leafTidLB(at.refCore, dm, traj.length), traj.id)) {
-                stats.exactDistances += 1
-                best.offer(traj.id, measure.dist(q, traj.points))
-              }
+              if (best.admits(ops.leafTidLB(at.refCore, dm, traj.length), traj.id)) evaluate(traj)
               i += 1
             }
           }

@@ -11,6 +11,9 @@ final class TopK(k: Int) {
   // A max-heap: once k results are held, its head is the k-th.
   private val heap = mutable.PriorityQueue.empty[(Double, Long)](TopK.order)
 
+  /** Whether k results are held, so that `dk` is the k-th distance. */
+  def full: Boolean = heap.size == k
+
   /** d_k: the k-th distance, or +∞ while fewer than k results are held. */
   def dk: Double = if (heap.size < k) Double.PositiveInfinity else heap.head._1
 

@@ -73,12 +73,12 @@ class DistancesSuite extends AnyFunSuite {
 
   test("frechet matches recursive reference on 30x30 random pairs") {
     for (a <- smallTrajs; b <- smallTrajs)
-      assert(math.abs(Distances.frechet(a.points, b.points) - frechetRec(a.points, b.points)) < 1e-9)
+      assert(Distances.frechet(a.points, b.points) == frechetRec(a.points, b.points))
   }
 
   test("dtw matches recursive reference on 30x30 random pairs") {
     for (a <- smallTrajs; b <- smallTrajs)
-      assert(math.abs(Distances.dtw(a.points, b.points) - dtwRec(a.points, b.points)) < 1e-9)
+      assert(Distances.dtw(a.points, b.points) == dtwRec(a.points, b.points))
   }
 
   // --- Axioms ------------------------------------------------------------

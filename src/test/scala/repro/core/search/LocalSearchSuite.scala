@@ -153,6 +153,35 @@ class LocalSearchSuite extends AnyFunSuite {
     }
   }
 
+  test("cascade and abandon counters agree with the heap") {
+    val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
+    for (m <- measures; k <- Seq(1, 5, 20, trajs.length)) {
+      val trie = RPTrie.build(trajs, grid, m, np = 3)
+      for (q <- queries) {
+        val s = new LocalSearch.Stats
+        LocalSearch.topK(trie, trajs, q, k, s)
+        val label = s"${m.name} k=$k"
+        val cutOrAbandoned = s.cutByEndpoint + s.cutByMbr + s.abandoned
+        assert(s.exactBeforeFull <= math.min(k, trajs.length), label)
+        assert(s.abandoned <= s.exactDistances - s.exactBeforeFull, label)
+        // Every evaluation before the heap is full enters it, so a cut or an
+        // abandon comes only after k of them.
+        assert(cutOrAbandoned == 0 || s.exactBeforeFull == k, label)
+        if (k == trajs.length) {
+          assert(cutOrAbandoned == 0, label)
+          assert(s.exactBeforeFull == s.exactDistances, label)
+        }
+        if (m != Frechet) assert(s.cutByEndpoint == 0, label)
+        if (!Seq(Hausdorff, Frechet, DTW).contains(m)) assert(s.cutByMbr == 0, label)
+      }
+    }
+    val big = TestUtils.randomTrajs(800, maxLen = 14, seed = 89L)
+    val trie = RPTrie.build(big, ZGrid.fit(MBR(0, 0, 10, 10), 0.5), Frechet, np = 5)
+    val s = new LocalSearch.Stats
+    LocalSearch.topK(trie, big, queries.head, 5, s)
+    assert(s.cutByEndpoint + s.cutByMbr > 0, "Frechet: no cascade cut")
+  }
+
   test("duplicate trajectories share a leaf and are all returned") {
     val base = TestUtils.randomTrajs(5, maxLen = 8, seed = 97L)
     val dup = base ++ base.map(t => Trajectory(t.id + 5, t.points))
