@@ -37,29 +37,37 @@ final case class ZGrid(minX: Double, minY: Double, l: Int, delta: Double)
   def zOf(p: Point): Int = { val (cx, cy) = cellOf(p); zOf(cx, cy) }
 
   /** Inverse of `zOf`. */
-  def cellOfZ(z: Int): (Int, Int) = {
-    var cx = 0; var cy = 0
+  def cellOfZ(z: Int): (Int, Int) = (cellX(z), cellY(z))
+
+  /** cx and cy of the cell with z-value `z`: its odd and even bits. */
+  private def cellX(z: Int): Int = evenBits(z >> 1)
+  private def cellY(z: Int): Int = evenBits(z)
+
+  private def evenBits(z: Int): Int = {
+    var c = 0
     var b = 0
-    while (b < bits) {
-      cx |= ((z >> (2 * b + 1)) & 1) << b
-      cy |= ((z >> (2 * b)) & 1) << b
-      b += 1
-    }
-    (cx, cy)
+    while (b < bits) { c |= ((z >> (2 * b)) & 1) << b; b += 1 }
+    c
   }
 
-  /** Reference point (center) of the cell with z-value `z`. */
-  def refPoint(z: Int): Point = {
-    val (cx, cy) = cellOfZ(z)
-    Point(minX + (cx + 0.5) * delta, minY + (cy + 0.5) * delta)
-  }
+  /** Reference point (center) of the cell with z-value `z`, and its coordinates. */
+  def refPoint(z: Int): Point = Point(refX(z), refY(z))
+  def refX(z: Int): Double = minX + (cellX(z) + 0.5) * delta
+  def refY(z: Int): Double = minY + (cellY(z) + 0.5) * delta
+
+  /** Lower-left corner of the cell with z-value `z`. */
+  def cornerX(z: Int): Double = minX + cellX(z) * delta
+  def cornerY(z: Int): Double = minY + cellY(z) * delta
 
   /** Min distance from `q` to the closed rectangle of cell `z` — the d′(q, g)
     * of Eq. 15, valid for measures without the triangle inequality.
     */
-  def cellMinDist(q: Point, z: Int): Double = {
-    val (cx, cy) = cellOfZ(z)
-    val x0 = minX + cx * delta; val y0 = minY + cy * delta
+  def cellMinDist(q: Point, z: Int): Double = cellMinDist(q, cornerX(z), cornerY(z))
+
+  /** `cellMinDist` to the cell with lower-left corner (x0, y0): a kernel
+    * decodes z once and calls this per query point.
+    */
+  def cellMinDist(q: Point, x0: Double, y0: Double): Double = {
     val dx = if (q.x < x0) x0 - q.x else if (q.x > x0 + delta) q.x - (x0 + delta) else 0.0
     val dy = if (q.y < y0) y0 - q.y else if (q.y > y0 + delta) q.y - (y0 + delta) else 0.0
     math.sqrt(dx * dx + dy * dy)

@@ -4,10 +4,10 @@ import repro.core._
 
 /** Incremental lower-bound state attached to a trie search node.
   *
-  * `arr` is the measure-specific intermediate column (Hausdorff: the row
-  * minima `r[1..m]`; Fréchet/DTW/ERP/LCSS/EDR: the DP column with a boundary
-  * cell at index 0). `aux` carries Hausdorff's running `c_max`. Each child
-  * copies the parent state — the O(m) `CompLB` of Algorithm 1.
+  * `arr` is the measure-specific intermediate column (Hausdorff: the squared
+  * row minima `r[1..m]`; Fréchet: the squared DP column; DTW/ERP/LCSS/EDR:
+  * the DP column; each DP column has a boundary cell at index 0). `aux`
+  * carries Hausdorff's squared running `c_max`.
   */
 final case class BState(arr: Array[Double], aux: Double)
 
@@ -18,17 +18,43 @@ final case class BState(arr: Array[Double], aux: Double)
   */
 final case class Extended(state: BState, lbO: Double, refCore: Double)
 
+/** A column that `BoundsOps.extendInto` writes, with the `aux`, `lbO` and
+  * `refCore` of the extension that wrote it: the mutable form of `Extended`
+  * that the search extends in place.
+  */
+class Column(val arr: Array[Double]) {
+  var aux: Double = 0.0
+  var lbO: Double = 0.0
+  var refCore: Double = 0.0
+}
+
 /** Per-measure incremental bound computations for a fixed query (§IV, §VI).
   *
   * Instances are created per (query, grid) pair and used for a whole local
   * search. `monotone` marks measures whose `LB_o` is non-decreasing along
   * trie paths (Lemmas 2–4), which licenses best-first early termination.
+  *
+  * Each measure has one kernel, `extendInto`, the O(m) `CompLB` of
+  * Algorithm 1. It reads the parent column and writes the child's into a
+  * given column, which may be the parent's own: every cell is read before it
+  * is overwritten, and DP kernels keep the parent's diagonal in a scalar.
+  * `extend` runs it into a fresh column and never changes its argument, so
+  * siblings can share their parent's state; the search instead overwrites a
+  * column that only its own queue entry references (see `LocalSearch`).
   */
 sealed trait BoundsOps {
   /** State of the root node (no reference points consumed yet). */
   def rootState: BState
-  /** Extend by the child cell `z` — Algorithm 1 / Eq. 9 / Eq. 15. */
-  def extend(s: BState, z: Int): Extended
+  /** Extends the column `in`, with its `aux`, by the child cell `z` into
+    * `out` — Algorithm 1 / Eq. 9 / Eq. 15. `out.arr` may be `in`.
+    */
+  def extendInto(in: Array[Double], aux: Double, z: Int, out: Column): Unit
+  /** `extendInto` a fresh column; `s` is left unchanged. */
+  final def extend(s: BState, z: Int): Extended = {
+    val out = new Column(new Array[Double](s.arr.length))
+    extendInto(s.arr, s.aux, z, out)
+    Extended(BState(out.arr, out.aux), out.lbO, out.refCore)
+  }
   /** Two-side bound for one trajectory of length `n` in a leaf with the given
     * `D_max` and extension result; by default Eq. 3's, `refCore − D_max`.
     */
@@ -88,58 +114,82 @@ object BoundsOps {
   }
 }
 
-/** Hausdorff (Alg. 1): state = (r[1..m], c_max). LB_o = max(c_max − √2δ/2, 0)
-  * (Eq. 2); refCore = max(max r_i, c_max) = D_H(τ_q, τ*).
+/** Hausdorff (Alg. 1): state = (r[1..m], c_max), both squared. LB_o =
+  * max(c_max − √2δ/2, 0) (Eq. 2); refCore = max(max r_i, c_max) =
+  * D_H(τ_q, τ*). `sqrt` is monotone and correctly rounded, so taking it once
+  * per extension gives the same bounds, bit for bit, as taking it per cell.
   */
 final class HausdorffOps(val q: Array[Point], val grid: ZGrid) extends BoundsOps {
   private val m = q.length
+  private val qx = q.map(_.x)
+  private val qy = q.map(_.y)
   def rootState: BState = BState(Array.fill(m)(Double.MaxValue), 0.0)
-  def extend(s: BState, z: Int): Extended = {
-    val p = grid.refPoint(z)
-    val r = new Array[Double](m)
+  def extendInto(in: Array[Double], aux: Double, z: Int, out: Column): Unit = {
+    val px = grid.refX(z)
+    val py = grid.refY(z)
+    val r = out.arr
     var c = Double.MaxValue
     var rmax = 0.0
     var i = 0
     while (i < m) {
-      val d = q(i).dist(p)
-      r(i) = math.min(s.arr(i), d)
+      val dx = qx(i) - px
+      val dy = qy(i) - py
+      val d = dx * dx + dy * dy
+      val ri = if (d < in(i)) d else in(i)
+      r(i) = ri
       if (d < c) c = d
-      if (r(i) > rmax) rmax = r(i)
+      if (ri > rmax) rmax = ri
       i += 1
     }
-    val cmax = math.max(s.aux, c)
-    Extended(BState(r, cmax), math.max(cmax - grid.halfDiag, 0.0), math.max(rmax, cmax))
+    val cmax = if (c > aux) c else aux
+    out.aux = cmax
+    out.lbO = math.max(math.sqrt(cmax) - grid.halfDiag, 0.0)
+    out.refCore = math.sqrt(if (rmax > cmax) rmax else cmax)
   }
   override def cascade(t: Array[Point], id: Long, best: TopK): Int =
     if (!best.admits(BoundsOps.mbrMaxLB(q, t), id)) BoundsOps.CutByMbr
     else BoundsOps.Admitted
 }
 
-/** Discrete Fréchet (Eq. 7–9): state = DP column f[0..m] with boundary
-  * f(0) = −∞ at the root (both-empty corner) and +∞ afterwards. LB_o uses the
-  * new column's minimum; refCore = f(m) = D_F(τ_q, τ*).
+/** Discrete Fréchet (Eq. 7–9): state = DP column f[0..m] of squared
+  * distances with boundary f(0) = −∞ at the root (both-empty corner) and +∞
+  * afterwards. LB_o uses the new column's minimum; refCore = f(m) =
+  * D_F(τ_q, τ*). Like Hausdorff's, the column takes one `sqrt` per bound.
   */
 final class FrechetOps(val q: Array[Point], val grid: ZGrid) extends BoundsOps {
   private val m = q.length
+  private val qx = q.map(_.x)
+  private val qy = q.map(_.y)
   def rootState: BState = {
     val a = Array.fill(m + 1)(Double.MaxValue)
     a(0) = Double.MinValue
     BState(a, 0.0)
   }
-  def extend(s: BState, z: Int): Extended = {
-    val p = grid.refPoint(z)
-    val f = new Array[Double](m + 1)
-    f(0) = Double.MaxValue
+  def extendInto(in: Array[Double], aux: Double, z: Int, out: Column): Unit = {
+    val px = grid.refX(z)
+    val py = grid.refY(z)
+    val f = out.arr
+    var diag = in(0) // the parent's cell i − 1, read before f(i − 1) overwrites it
+    var prev = Double.MaxValue // f(i − 1)
+    f(0) = prev
     var cmin = Double.MaxValue
     var i = 1
     while (i <= m) {
-      val d = q(i - 1).dist(p)
-      val reach = math.min(math.min(s.arr(i - 1), f(i - 1)), s.arr(i))
-      f(i) = math.max(d, reach)
-      if (f(i) < cmin) cmin = f(i)
+      val dx = qx(i - 1) - px
+      val dy = qy(i - 1) - py
+      val d = dx * dx + dy * dy
+      val row = in(i)
+      var reach = if (prev < diag) prev else diag
+      if (row < reach) reach = row
+      prev = if (d > reach) d else reach
+      f(i) = prev
+      if (prev < cmin) cmin = prev
+      diag = row
       i += 1
     }
-    Extended(BState(f, 0.0), math.max(cmin - grid.halfDiag, 0.0), f(m))
+    out.aux = 0.0
+    out.lbO = math.max(math.sqrt(cmin) - grid.halfDiag, 0.0)
+    out.refCore = math.sqrt(prev)
   }
   override def cascade(t: Array[Point], id: Long, best: TopK): Int =
     if (!best.admits(BoundsOps.endpointLB(q, t), id)) BoundsOps.CutByEndpoint
@@ -157,19 +207,28 @@ final class DTWOps(val q: Array[Point], val grid: ZGrid) extends BoundsOps {
     a(0) = 0.0
     BState(a, 0.0)
   }
-  def extend(s: BState, z: Int): Extended = {
-    val f = new Array[Double](m + 1)
-    f(0) = Double.MaxValue
+  def extendInto(in: Array[Double], aux: Double, z: Int, out: Column): Unit = {
+    val x0 = grid.cornerX(z)
+    val y0 = grid.cornerY(z)
+    val f = out.arr
+    var diag = in(0)
+    var prev = Double.MaxValue
+    f(0) = prev
     var cmin = Double.MaxValue
     var i = 1
     while (i <= m) {
-      val d = grid.cellMinDist(q(i - 1), z)
-      val reach = math.min(math.min(s.arr(i - 1), f(i - 1)), s.arr(i))
-      f(i) = if (reach == Double.MaxValue) Double.MaxValue else d + reach
-      if (f(i) < cmin) cmin = f(i)
+      val d = grid.cellMinDist(q(i - 1), x0, y0)
+      val row = in(i)
+      val reach = math.min(math.min(diag, prev), row)
+      prev = if (reach == Double.MaxValue) Double.MaxValue else d + reach
+      f(i) = prev
+      if (prev < cmin) cmin = prev
+      diag = row
       i += 1
     }
-    Extended(BState(f, 0.0), cmin, f(m))
+    out.aux = 0.0
+    out.lbO = cmin
+    out.refCore = prev
   }
   override def leafTidLB(refCore: Double, dmax: Double, n: Int): Double = refCore
   override def cascade(t: Array[Point], id: Long, best: TopK): Int =
@@ -194,23 +253,31 @@ final class ERPOps(val q: Array[Point], val grid: ZGrid, g: Point) extends Bound
     while (i <= m) { a(i) = a(i - 1) + gapQ(i - 1); i += 1 }
     BState(a, 0.0)
   }
-  private def cellGap(z: Int): Double = grid.cellMinDist(g, z)
-  def extend(s: BState, z: Int): Extended = {
-    val e = new Array[Double](m + 1)
-    val cg = cellGap(z)
-    e(0) = s.arr(0) + cg
-    var cmin = e(0)
+  def extendInto(in: Array[Double], aux: Double, z: Int, out: Column): Unit = {
+    val x0 = grid.cornerX(z)
+    val y0 = grid.cornerY(z)
+    val e = out.arr
+    val cg = grid.cellMinDist(g, x0, y0)
+    var diagIn = in(0)
+    var prev = diagIn + cg
+    e(0) = prev
+    var cmin = prev
     var i = 1
     while (i <= m) {
-      val dPrime = grid.cellMinDist(q(i - 1), z)
-      val diag = s.arr(i - 1) + dPrime
-      val up   = e(i - 1) + math.min(gapQ(i - 1), dPrime)
-      val left = s.arr(i) + cg
-      e(i) = math.min(diag, math.min(up, left))
-      if (e(i) < cmin) cmin = e(i)
+      val dPrime = grid.cellMinDist(q(i - 1), x0, y0)
+      val row = in(i)
+      val diag = diagIn + dPrime
+      val up   = prev + math.min(gapQ(i - 1), dPrime)
+      val left = row + cg
+      prev = math.min(diag, math.min(up, left))
+      e(i) = prev
+      if (prev < cmin) cmin = prev
+      diagIn = row
       i += 1
     }
-    Extended(BState(e, 0.0), cmin, e(m))
+    out.aux = 0.0
+    out.lbO = cmin
+    out.refCore = prev
   }
   override def leafTidLB(refCore: Double, dmax: Double, n: Int): Double = refCore
 }
@@ -225,15 +292,22 @@ final class ERPOps(val q: Array[Point], val grid: ZGrid, g: Point) extends Bound
 final class LCSSOps(val q: Array[Point], val grid: ZGrid, eps: Double) extends BoundsOps {
   private val m = q.length
   def rootState: BState = BState(new Array[Double](m + 1), 0.0)
-  def extend(s: BState, z: Int): Extended = {
-    val l = new Array[Double](m + 1)
+  def extendInto(in: Array[Double], aux: Double, z: Int, out: Column): Unit = {
+    val x0 = grid.cornerX(z)
+    val y0 = grid.cornerY(z)
+    val l = out.arr
+    var prev = 0.0
+    l(0) = prev
     var i = 1
     while (i <= m) {
-      val mt = if (grid.cellMinDist(q(i - 1), z) <= eps) 1.0 else 0.0
-      l(i) = math.max(s.arr(i), l(i - 1) + mt)
+      val mt = if (grid.cellMinDist(q(i - 1), x0, y0) <= eps) 1.0 else 0.0
+      prev = math.max(in(i), prev + mt)
+      l(i) = prev
       i += 1
     }
-    Extended(BState(l, 0.0), 0.0, l(m))
+    out.aux = 0.0
+    out.lbO = 0.0
+    out.refCore = prev
   }
   override def leafTidLB(refCore: Double, dmax: Double, n: Int): Double = {
     val denom = math.min(m, n).toDouble
@@ -255,19 +329,27 @@ final class EDROps(val q: Array[Point], val grid: ZGrid, eps: Double) extends Bo
     while (i <= m) { a(i) = i.toDouble; i += 1 }
     BState(a, 0.0)
   }
-  def extend(s: BState, z: Int): Extended = {
-    val e = new Array[Double](m + 1)
-    e(0) = s.arr(0)
+  def extendInto(in: Array[Double], aux: Double, z: Int, out: Column): Unit = {
+    val x0 = grid.cornerX(z)
+    val y0 = grid.cornerY(z)
+    val e = out.arr
+    var diagIn = in(0)
+    var prev = diagIn
+    e(0) = prev
     var i = 1
     while (i <= m) {
-      val c = if (grid.cellMinDist(q(i - 1), z) <= eps) 0.0 else 1.0
-      val diag = s.arr(i - 1) + c
-      val down = e(i - 1) + c
-      val left = s.arr(i)
-      e(i) = math.min(diag, math.min(down, left))
+      val c = if (grid.cellMinDist(q(i - 1), x0, y0) <= eps) 0.0 else 1.0
+      val left = in(i)
+      val diag = diagIn + c
+      val down = prev + c
+      prev = math.min(diag, math.min(down, left))
+      e(i) = prev
+      diagIn = left
       i += 1
     }
-    Extended(BState(e, 0.0), 0.0, e(m))
+    out.aux = 0.0
+    out.lbO = 0.0
+    out.refCore = prev
   }
   override def leafTidLB(refCore: Double, dmax: Double, n: Int): Double =
     math.max(refCore, math.abs(m - n).toDouble)

@@ -14,8 +14,12 @@ import repro.core.rptrie.RPTrie
   * subtrees via `continue`; `LB_t` (two-side bound, Eq. 3) prunes individual
   * trajectories in accepting nodes.
   * A queue entry is a position in a node's run; a popped entry extends its
-  * run in place while each new `LB_o` would be popped next anyway, and a
-  * parent extends only its children's first labels. `LB_p` is per node.
+  * run while each new `LB_o` would be popped next anyway, and a parent
+  * extends only its children's first labels. `LB_p` is per node.
+  * Each entry owns its bound column (`Column`), so a popped entry extends
+  * its run in place, its last child takes over its column, and only a child
+  * that is pushed while a sibling still needs the parent's column gets a
+  * new one.
   * Once the heap holds k, a trajectory that passes `LB_t` goes through the
   * measure's per-trajectory cascade (`BoundsOps.cascade`) and then its exact
   * kernel bounded by `d_k` (`Measure.distWithin`).
@@ -43,8 +47,17 @@ object LocalSearch {
     var abandoned: Long = 0L
   }
 
-  /** Node `handle` with its run extended up to label index `pos` (exclusive). */
-  private final case class SNode(handle: Int, pos: Int, lbP: Double, ext: Extended)
+  /** Node `handle` with its run extended up to label index `pos`
+    * (exclusive), into a column that no other entry references. A popped
+    * entry is reused: for its run's next label, or for its last child.
+    */
+  private final class SNode(var handle: Int, var pos: Int, var lbP: Double, arr: Array[Double])
+      extends Column(arr)
+
+  /** Ascending `lbO` first out of a `PriorityQueue`, which pops its maximum. */
+  private val byLbO: Ordering[SNode] = new Ordering[SNode] {
+    def compare(x: SNode, y: SNode): Int = java.lang.Double.compare(y.lbO, x.lbO)
+  }
 
   /** Exact top-k of `q` among `trajs` under `trie.measure`. Returns at most
     * k (trajectoryId, distance) pairs sorted by (distance, id): the first k
@@ -95,47 +108,69 @@ object LocalSearch {
           if (d > dk) stats.abandoned += 1 else best.offer(t.id, d)
       }
 
-    val pq = mutable.PriorityQueue.empty[SNode](Ordering.by[SNode, Double](_.ext.lbO).reverse)
+    val pq = mutable.PriorityQueue.empty[SNode](byLbO)
     def push(t: SNode): Unit = { pq.enqueue(t); stats.nodesPushed += 1 }
-    def extend(s: BState, z: Int): Extended = { stats.labelsExtended += 1; ops.extend(s, z) }
-    pq.enqueue(SNode(trie.root, 0, 0.0, Extended(ops.rootState, 0.0, 0.0)))
+    def extend(from: Column, z: Int, to: Column): Unit = {
+      stats.labelsExtended += 1
+      ops.extendInto(from.arr, from.aux, z, to)
+    }
+    val rs = ops.rootState
+    val root = new SNode(trie.root, 0, 0.0, rs.arr)
+    root.aux = rs.aux
+    pq.enqueue(root)
+    // A column for the children before the last, kept while they are cut.
+    var spare: SNode = null
 
     var done = false
     while (pq.nonEmpty && !done) {
       val t = pq.dequeue()
       stats.nodesPopped += 1
-      if (ops.monotone && t.ext.lbO > best.dk) done = true // all remaining > d_k
-      else if (t.lbP > best.dk || t.ext.lbO > best.dk) ()  // subtree pruned; continue
+      if (ops.monotone && t.lbO > best.dk) done = true // all remaining > d_k
+      else if (t.lbP > best.dk || t.lbO > best.dk) ()  // subtree pruned; continue
       else {
         val v = t.handle
-        var cur = t.ext
-        var pos = t.pos
-        while (cur != null && pos < trie.runUntil(v)) {
-          val ext = extend(cur.state, trie.labelAt(pos))
-          pos += 1
-          if (ext.lbO <= best.dk && (pq.isEmpty || ext.lbO <= pq.head.ext.lbO)) cur = ext
-          else { // not next in line: cut or wait in the queue
-            if (!(ops.monotone && ext.lbO > best.dk)) push(SNode(v, pos, t.lbP, ext))
-            cur = null
+        var atEnd = true
+        while (atEnd && t.pos < trie.runUntil(v)) {
+          extend(t, trie.labelAt(t.pos), t)
+          t.pos += 1
+          val next = t.lbO <= best.dk && (pq.isEmpty || t.lbO <= pq.head.lbO)
+          if (!next) { // not next in line: cut or wait in the queue
+            if (!(ops.monotone && t.lbO > best.dk)) push(t)
+            atEnd = false
           }
         }
-        if (cur != null) { // at the run's end: node v itself
-          val at = cur
+        if (atEnd) { // at the run's end: node v itself
           var i = trie.tidFrom(v)
           val until = trie.tidUntil(v)
           if (i < until) { // D_max is read only at accepting nodes
             val dm = trie.dmax(v)
             while (i < until) {
               val traj = trajs(trie.tidAt(i))
-              if (best.admits(ops.leafTidLB(at.refCore, dm, traj.length), traj.id)) evaluate(traj)
+              if (best.admits(ops.leafTidLB(t.refCore, dm, traj.length), traj.id)) evaluate(traj)
               i += 1
             }
           }
+          // The last child overwrites t's column: no sibling reads it after.
+          val last = trie.childCount(v) - 1
+          var j = 0
           trie.foreachChild(v) { (z, c) =>
-            val ext = extend(at.state, z)
-            if (!(ops.monotone && ext.lbO > best.dk)) {
+            val out =
+              if (j == last) t
+              else {
+                if (spare == null) spare = new SNode(0, 0, 0.0, new Array[Double](t.arr.length))
+                spare
+              }
+            j += 1
+            extend(t, z, out)
+            if (!(ops.monotone && out.lbO > best.dk)) {
               val lp = if (np > 0) pivotLB(c) else 0.0
-              if (lp <= best.dk) push(SNode(c, trie.runFrom(c) + 1, lp, ext))
+              if (lp <= best.dk) {
+                out.handle = c
+                out.pos = trie.runFrom(c) + 1
+                out.lbP = lp
+                push(out)
+                if (out eq spare) spare = null
+              }
             }
           }
         }

@@ -19,7 +19,7 @@ final class TopK(k: Int) {
 
   /** Whether (d, id) would enter now; for a lower bound d, whether the exact distance can. */
   def admits(d: Double, id: Long): Boolean =
-    heap.size < k || TopK.order.lt((d, id), heap.head)
+    heap.size < k || { val h = heap.head; TopK.compare(d, id, h._1, h._2) < 0 }
 
   def offer(id: Long, d: Double): Unit =
     if (admits(d, id)) { if (heap.size == k) heap.dequeue(); heap.enqueue((d, id)) }
@@ -30,8 +30,17 @@ final class TopK(k: Int) {
 }
 
 object TopK {
-  val order: Ordering[(Double, Long)] =
-    Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long)
+  /** (distance, id) order: `java.lang.Double.compare` (−0.0 < 0.0, NaN
+    * last), then id. Compares primitives, without boxing.
+    */
+  def compare(d1: Double, id1: Long, d2: Double, id2: Long): Int = {
+    val c = java.lang.Double.compare(d1, d2)
+    if (c != 0) c else java.lang.Long.compare(id1, id2)
+  }
+
+  val order: Ordering[(Double, Long)] = new Ordering[(Double, Long)] {
+    def compare(x: (Double, Long), y: (Double, Long)): Int = TopK.compare(x._1, x._2, y._1, y._2)
+  }
 
   /** Global top-k of local top-k lists over disjoint sets of ids. */
   def merge(k: Int, lists: IterableOnce[Array[(Long, Double)]]): Array[(Long, Double)] = {

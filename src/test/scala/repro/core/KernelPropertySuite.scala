@@ -5,13 +5,17 @@ import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.search.{BoundsOps, TopK}
+import repro.core.search.{BoundsOps, Column, TopK}
 
 /** Property tests of the bounded distance kernels over random pairs,
   * singleton trajectories and repeated points, with lattice coordinates for
   * exact distance ties: `dist` is bit-equal to the plain reference kernels,
   * `distWithin` is exact within its bound and a lower bound above it
-  * otherwise, and every per-trajectory cascade bound is ≤ `dist`.
+  * otherwise, and every per-trajectory cascade bound is ≤ `dist`. Over
+  * random reference paths, the incremental bound kernels are bit-equal to
+  * the reference ones, in place or into a fresh column, and `extend` leaves
+  * its argument unchanged. `TopK.order` is checked against the tuple order
+  * it replaced.
   */
 class KernelPropertySuite extends AnyFunSuite {
 
@@ -55,6 +59,19 @@ class KernelPropertySuite extends AnyFunSuite {
 
   private def show(a: Array[Point], b: Array[Point]) = s"${a.toSeq} vs ${b.toSeq}"
 
+  private val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
+
+  /** A query and a reference path of 1–25 cells, repeats allowed. */
+  private val paths = for {
+    q <- side
+    n <- Gen.choose(1, 25)
+    zs <- Gen.listOfN(n, Gen.choose(0, grid.numCells - 1))
+  } yield (q, zs.toArray)
+
+  private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
+  private def sameBits(a: Array[Double], b: Array[Double]): Boolean =
+    a.length == b.length && a.indices.forall(i => bits(a(i)) == bits(b(i)))
+
   test("a squared distance above the rounded bound² whose root is the bound stays within it") {
     // 1 + 2⁻⁵² is the next double above 1.0 = 1.0², and its root rounds to 1.0.
     val a = Array(Point(0, 0))
@@ -67,7 +84,72 @@ class KernelPropertySuite extends AnyFunSuite {
     assert(LCSS(eps).dist(a, b) == 0.0 && EDR(eps).dist(a, b) == 0.0)
   }
 
+  test("TopK.order agrees with the tuple order it replaced, on ties, ±0.0, ±∞ and NaN") {
+    val tupleOrder = Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long)
+    val special = Gen.oneOf(0.0, -0.0, 1.0, Double.PositiveInfinity, Double.NegativeInfinity,
+      Double.MaxValue, Double.MinPositiveValue, Double.NaN)
+    val dist = Gen.frequency(2 -> special, 1 -> Gen.choose(-2.0, 2.0))
+    val pair = for (d <- dist; id <- Gen.choose(-2L, 2L)) yield (d, id)
+    check(Prop.forAll(pair, pair) { (x, y) =>
+      assert(TopK.order.compare(x, y) == tupleOrder.compare(x, y), s"$x vs $y")
+      assert(TopK.order.lt(x, y) == tupleOrder.lt(x, y), s"$x vs $y")
+      val held = new TopK(1)
+      held.offer(y._2, y._1)
+      assert(held.admits(x._1, x._2) == tupleOrder.lt(x, y), s"$x vs $y")
+      true
+    })
+  }
+
   for ((m, reference) <- measures) {
+    test(s"${m.name}: incremental bounds are bit-equal to the reference kernels") {
+      check(Prop.forAll(paths) { case (q, zs) =>
+        val ops = BoundsOps.forMeasure(m, grid, q)
+        val ref = ReferenceBounds.forMeasure(m, grid, q)
+        // Hausdorff and Fréchet columns hold squared distances.
+        val root: Double => Double = m match {
+          case Hausdorff | Frechet => d => if (d == Double.MaxValue) d else math.sqrt(d)
+          case _ => identity
+        }
+        var s = ops.rootState
+        var r = ref.rootState
+        for (z <- zs) {
+          val e = ops.extend(s, z)
+          val f = ref.extend(r, z)
+          assert(bits(e.lbO) == bits(f.lbO) && bits(e.refCore) == bits(f.refCore),
+            s"$e vs $f at $z; ${q.toSeq} along ${zs.toSeq}")
+          assert(sameBits(e.state.arr.map(root), f.state.arr) && bits(root(e.state.aux)) == bits(f.state.aux),
+            s"columns at $z; ${q.toSeq} along ${zs.toSeq}")
+          s = e.state
+          r = f.state
+        }
+        true
+      })
+    }
+
+    test(s"${m.name}: extending in place or into a used column equals a fresh extension") {
+      check(Prop.forAll(paths, Gen.choose(-1.0, 1.0)) { case ((q, zs), junk) =>
+        val ops = BoundsOps.forMeasure(m, grid, q)
+        val root = ops.rootState
+        val inPlace = new Column(root.arr.clone())
+        inPlace.aux = root.aux
+        val used = new Column(Array.fill(root.arr.length)(junk))
+        var s = root
+        for (z <- zs) {
+          val before = s.arr.clone()
+          val e = ops.extend(s, z)
+          assert(sameBits(s.arr, before), s"extend changed its argument at $z")
+          ops.extendInto(s.arr, s.aux, z, used)
+          ops.extendInto(inPlace.arr, inPlace.aux, z, inPlace)
+          for (c <- Seq(inPlace, used))
+            assert(sameBits(c.arr, e.state.arr) && bits(c.aux) == bits(e.state.aux) &&
+              bits(c.lbO) == bits(e.lbO) && bits(c.refCore) == bits(e.refCore),
+              s"at $z; ${q.toSeq} along ${zs.toSeq}")
+          s = e.state
+        }
+        true
+      })
+    }
+
     test(s"${m.name}: dist is bit-equal to the reference kernel") {
       check(Prop.forAll(cases) { case (a, b, _) =>
         val d = m.dist(a, b)

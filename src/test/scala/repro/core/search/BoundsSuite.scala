@@ -116,6 +116,7 @@ class BoundsSuite extends AnyFunSuite {
 
   // ---- Incremental-vs-direct agreement (Algorithm 1) ---------------------
 
+  // Hausdorff and Fréchet states hold squared distances.
   test("Hausdorff CompLB state matches direct distance-matrix computation") {
     val ops = new HausdorffOps(q, grid)
     val zs = grid.refSeq(trajs(0).points)
@@ -128,11 +129,11 @@ class BoundsSuite extends AnyFunSuite {
       // r[i] = min over reference points of d(q_i, p*)
       q.indices.foreach { i =>
         val direct = refPts.map(q(i).dist).min
-        assert(math.abs(st.arr(i) - direct) < 1e-9)
+        assert(math.abs(math.sqrt(st.arr(i)) - direct) < 1e-9)
       }
       // c_max = max over columns of min over rows
       val cmax = refPts.map(p => q.map(_.dist(p)).min).max
-      assert(math.abs(st.aux - cmax) < 1e-9)
+      assert(math.abs(math.sqrt(st.aux) - cmax) < 1e-9)
       // refCore = D_H(q, tau*)
       assert(math.abs(last.refCore - Distances.hausdorff(q, refPts)) < 1e-9)
       // Eq. 2
@@ -152,7 +153,7 @@ class BoundsSuite extends AnyFunSuite {
         s"column $j: ${ext.refCore} vs ${Distances.frechet(q, refPts)}")
       // every intermediate row value is D_F of the query prefix
       (1 to q.length).foreach { i =>
-        assert(math.abs(st.arr(i) - Distances.frechet(q.take(i), refPts)) < 1e-9)
+        assert(math.abs(math.sqrt(st.arr(i)) - Distances.frechet(q.take(i), refPts)) < 1e-9)
       }
     }
   }
