@@ -19,7 +19,7 @@ import repro.data.{Datasets, TrajGen}
   *
   * {{{
   * sbt "bench/Test/runMain repro.bench.LocalSearchBench --dataset OSM --measure Hausdorff"
-  * sbt "bench/Test/runMain repro.bench.LocalSearchBench --dataset Xi'an --measure DTW --queries 20"
+  * sbt "bench/Test/runMain repro.bench.LocalSearchBench --dataset Xian --measure DTW --queries 20"
   * }}}
   *
   * Builds the analog into 16 optimized tries, one per partition (ids dealt
@@ -33,7 +33,8 @@ import repro.data.{Datasets, TrajGen}
   * Each mode makes one untimed warm pass and then `--repeats` (≥ 5) timed
   * ones. It prints the figures and `LocalSearch.Stats` per query, and
   * replaces this (dataset, measure, git SHA, cores) entry of
-  * `BENCH_local.json` at the top of the checkout, one entry per line. The
+  * `BENCH_local.json` at the top of the checkout, one entry per line; the
+  * SHA reads `+dirty` when `src/` differs from that commit. The
   * answer hash covers every id and distance bit, so two commits that search
   * alike print the same hash and the same counters.
   */
@@ -45,7 +46,10 @@ object LocalSearchBench {
 
   def main(argv: Array[String]): Unit = {
     val kv = argv.grouped(2).collect { case Array(k, v) if k.startsWith("--") => k.drop(2) -> v }.toMap
-    val spec = Datasets.byName(kv.getOrElse("dataset", "OSM"))
+    // Letters only, so that Xi'an can be given as Xian.
+    def key(name: String) = name.filter(_.isLetter).toLowerCase
+    val spec = Datasets.all.find(s => key(s.name) == key(kv.getOrElse("dataset", "OSM")))
+      .getOrElse(sys.error(s"--dataset is one of ${Datasets.all.map(_.name).mkString(", ")}"))
     val measure = Datasets.tableMeasures.find(_.name.equalsIgnoreCase(kv.getOrElse("measure", "Hausdorff")))
       .getOrElse(sys.error(s"--measure is one of ${Datasets.tableMeasures.map(_.name).mkString(", ")}"))
     val nq = kv.getOrElse("queries", "100").toInt
@@ -143,7 +147,7 @@ object LocalSearchBench {
       val batch1 = batchMs.result()
       val perQuery = (x: Long) => x.toDouble / nq
       val sha = git("rev-parse", "--short", "HEAD").getOrElse("unknown") +
-        (if (git("status", "--porcelain", "--", "src").isDefined) "+dirty" else "")
+        (if (git("status", "--porcelain", "--", ":/src").isDefined) "+dirty" else "")
       val figures = Seq[(String, Double)](
         "queries" -> nq, "k" -> K, "partitions" -> Partitions, "threads" -> Threads, "repeats" -> repeats,
         "build_s" -> buildS,

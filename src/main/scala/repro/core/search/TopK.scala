@@ -33,7 +33,7 @@ object TopK {
   /** (distance, id) order: `java.lang.Double.compare` (−0.0 < 0.0, NaN
     * last), then id. Compares primitives, without boxing.
     */
-  def compare(d1: Double, id1: Long, d2: Double, id2: Long): Int = {
+  private def compare(d1: Double, id1: Long, d2: Double, id2: Long): Int = {
     val c = java.lang.Double.compare(d1, d2)
     if (c != 0) c else java.lang.Long.compare(id1, id2)
   }
