@@ -19,20 +19,20 @@ import repro.data.{Datasets, TrajGen}
   *
   * {{{
   * sbt "bench/Test/runMain repro.bench.LocalSearchBench --dataset OSM --measure Hausdorff"
-  * sbt "bench/Test/runMain repro.bench.LocalSearchBench --dataset Xian --measure DTW --queries 20"
+  * sbt "bench/Test/runMain repro.bench.LocalSearchBench --dataset Xian --measure DTW"
   * }}}
   *
   * Builds the analog into 16 optimized tries, one per partition (ids dealt
   * round-robin; global pivots from an id-strided sample, as `Repose.build`
-  * selects them from a sample), then replays the k = 50 top-k queries of
-  * `TrajGen.queries`:
+  * selects them from a sample), then replays 100 k = 50 top-k queries
+  * of `TrajGen.queries`:
   *  - single-threaded, one query after another over all 16 tries and the
   *    merge; the p50 and p90 are over every query of every warm repeat;
   *  - as a batch of 16 tasks, one per trie, on 4 threads, answering every
   *    query and merged per query like `Repose.Index.queryBatch`.
-  * Each mode makes one untimed warm pass and then `--repeats` (≥ 5) timed
-  * ones. It prints the figures and `LocalSearch.Stats` per query, and
-  * replaces this (dataset, measure, git SHA, cores) entry of
+  * Each mode makes one untimed warm pass and then 5 timed ones. It prints
+  * the figures and `LocalSearch.Stats` per query, and replaces this
+  * (dataset, measure, git SHA, cores) entry of
   * `BENCH_local.json` at the top of the checkout, one entry per line; the
   * SHA reads `+dirty` when `src/` differs from that commit. The
   * answer hash covers every id and distance bit, so two commits that search
@@ -43,6 +43,8 @@ object LocalSearchBench {
   val K = 50
   val Partitions = 16
   val Threads = 4
+  val Queries = 100
+  val Repeats = 5
 
   def main(argv: Array[String]): Unit = {
     val kv = argv.grouped(2).collect { case Array(k, v) if k.startsWith("--") => k.drop(2) -> v }.toMap
@@ -52,10 +54,7 @@ object LocalSearchBench {
       .getOrElse(sys.error(s"--dataset is one of ${Datasets.all.map(_.name).mkString(", ")}"))
     val measure = Datasets.tableMeasures.find(_.name.equalsIgnoreCase(kv.getOrElse("measure", "Hausdorff")))
       .getOrElse(sys.error(s"--measure is one of ${Datasets.tableMeasures.map(_.name).mkString(", ")}"))
-    val nq = kv.getOrElse("queries", "100").toInt
-    val repeats = kv.getOrElse("repeats", "5").toInt
-    require(repeats >= 5, "--repeats must be at least 5")
-    run(spec, measure, nq, repeats)
+    run(spec, measure)
   }
 
   private def gcMs(): Long =
@@ -82,7 +81,8 @@ object LocalSearchBench {
   private def git(args: String*): Option[String] =
     Try(Process("git" +: args).!!(ProcessLogger(_ => ())).trim).toOption.filter(_.nonEmpty)
 
-  def run(spec: TrajGen.Spec, measure: Measure, nq: Int, repeats: Int): Unit = {
+  def run(spec: TrajGen.Spec, measure: Measure): Unit = {
+    val nq = Queries
     val cores = Runtime.getRuntime.availableProcessors()
     val t0 = System.nanoTime()
     val trajs = Array.tabulate(spec.n)(i => TrajGen.one(spec, i.toLong))
@@ -124,7 +124,7 @@ object LocalSearchBench {
       val (_, answers) = single(stats)
       val singleMs = Seq.newBuilder[Double]
       val singleGc = Seq.newBuilder[Double]
-      for (_ <- 1 to repeats) {
+      for (_ <- 1 to Repeats) {
         System.gc()
         val g = gcMs()
         val (ms, a) = single(new LocalSearch.Stats)
@@ -135,7 +135,7 @@ object LocalSearchBench {
       require(batch().map(_.toSeq).toSeq == answers.map(_.toSeq).toSeq, "batch answers differ from single-threaded ones")
       val batchMs = Seq.newBuilder[Double]
       val batchGc = Seq.newBuilder[Double]
-      for (_ <- 1 to repeats) {
+      for (_ <- 1 to Repeats) {
         System.gc()
         val g = gcMs()
         val s = System.nanoTime()
@@ -149,7 +149,7 @@ object LocalSearchBench {
       val sha = git("rev-parse", "--short", "HEAD").getOrElse("unknown") +
         (if (git("status", "--porcelain", "--", ":/src").isDefined) "+dirty" else "")
       val figures = Seq[(String, Double)](
-        "queries" -> nq, "k" -> K, "partitions" -> Partitions, "threads" -> Threads, "repeats" -> repeats,
+        "queries" -> nq, "k" -> K, "partitions" -> Partitions, "threads" -> Threads, "repeats" -> Repeats,
         "build_s" -> buildS,
         "single_ms_p50" -> median(single1), "single_ms_p90" -> percentile(single1, 90),
         "single_gc_ms" -> median(singleGc.result()),

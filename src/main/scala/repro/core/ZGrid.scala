@@ -36,10 +36,9 @@ final case class ZGrid(minX: Double, minY: Double, l: Int, delta: Double)
 
   def zOf(p: Point): Int = { val (cx, cy) = cellOf(p); zOf(cx, cy) }
 
-  /** Inverse of `zOf`. */
-  def cellOfZ(z: Int): (Int, Int) = (cellX(z), cellY(z))
-
-  /** cx and cy of the cell with z-value `z`: its odd and even bits. */
+  /** cx and cy of the cell with z-value `z` (the inverse of `zOf`): its odd
+    * and even bits.
+    */
   private def cellX(z: Int): Int = evenBits(z >> 1)
   private def cellY(z: Int): Int = evenBits(z)
 
@@ -59,13 +58,10 @@ final case class ZGrid(minX: Double, minY: Double, l: Int, delta: Double)
   def cornerX(z: Int): Double = minX + cellX(z) * delta
   def cornerY(z: Int): Double = minY + cellY(z) * delta
 
-  /** Min distance from `q` to the closed rectangle of cell `z` — the d′(q, g)
-    * of Eq. 15, valid for measures without the triangle inequality.
-    */
-  def cellMinDist(q: Point, z: Int): Double = cellMinDist(q, cornerX(z), cornerY(z))
-
-  /** `cellMinDist` to the cell with lower-left corner (x0, y0): a kernel
-    * decodes z once and calls this per query point.
+  /** Min distance from `q` to the closed rectangle of the cell with
+    * lower-left corner (x0, y0) — the d′(q, g) of Eq. 15, valid for measures
+    * without the triangle inequality. A kernel decodes z once (`cornerX`,
+    * `cornerY`) and calls this per query point.
     */
   def cellMinDist(q: Point, x0: Double, y0: Double): Double = {
     val dx = if (q.x < x0) x0 - q.x else if (q.x > x0 + delta) q.x - (x0 + delta) else 0.0

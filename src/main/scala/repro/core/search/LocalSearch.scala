@@ -17,9 +17,7 @@ import repro.core.rptrie.RPTrie
   * run while each new `LB_o` would be popped next anyway, and a parent
   * extends only its children's first labels. `LB_p` is per node.
   * Each entry owns its bound column (`Column`), so a popped entry extends
-  * its run in place, its last child takes over its column, and only a child
-  * that is pushed while a sibling still needs the parent's column gets a
-  * new one.
+  * its run in place; each child is extended into a new column.
   * Once the heap holds k, a trajectory that passes `LB_t` goes through the
   * measure's per-trajectory cascade (`BoundsOps.cascade`) and then its exact
   * kernel bounded by `d_k` (`Measure.distWithin`).
@@ -48,10 +46,10 @@ object LocalSearch {
   }
 
   /** Node `handle` with its run extended up to label index `pos`
-    * (exclusive), into a column that no other entry references. A popped
-    * entry is reused: for its run's next label, or for its last child.
+    * (exclusive), into a column that no other entry references, so a popped
+    * entry may overwrite it with its run's next label.
     */
-  private final class SNode(var handle: Int, var pos: Int, var lbP: Double, arr: Array[Double])
+  private final class SNode(val handle: Int, var pos: Int, var lbP: Double, arr: Array[Double])
       extends Column(arr)
 
   /** Ascending `lbO` first out of a `PriorityQueue`, which pops its maximum. */
@@ -118,8 +116,6 @@ object LocalSearch {
     val root = new SNode(trie.root, 0, 0.0, rs.arr)
     root.aux = rs.aux
     pq.enqueue(root)
-    // A column for the children before the last, kept while they are cut.
-    var spare: SNode = null
 
     var done = false
     while (pq.nonEmpty && !done) {
@@ -150,27 +146,12 @@ object LocalSearch {
               i += 1
             }
           }
-          // The last child overwrites t's column: no sibling reads it after.
-          val last = trie.childCount(v) - 1
-          var j = 0
           trie.foreachChild(v) { (z, c) =>
-            val out =
-              if (j == last) t
-              else {
-                if (spare == null) spare = new SNode(0, 0, 0.0, new Array[Double](t.arr.length))
-                spare
-              }
-            j += 1
+            val out = new SNode(c, trie.runFrom(c) + 1, 0.0, new Array[Double](t.arr.length))
             extend(t, z, out)
             if (!(ops.monotone && out.lbO > best.dk)) {
-              val lp = if (np > 0) pivotLB(c) else 0.0
-              if (lp <= best.dk) {
-                out.handle = c
-                out.pos = trie.runFrom(c) + 1
-                out.lbP = lp
-                push(out)
-                if (out eq spare) spare = null
-              }
+              out.lbP = if (np > 0) pivotLB(c) else 0.0
+              if (out.lbP <= best.dk) push(out)
             }
           }
         }

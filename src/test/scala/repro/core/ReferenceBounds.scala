@@ -24,10 +24,25 @@ object ReferenceBounds {
     case repro.core.EDR(e)    => new EDR(q, grid, e)
   }
 
+  /** Grid coordinates (cx, cy) of the cell with z-value `z`, one bit pair
+    * per level: the inverse of `ZGrid.zOf`.
+    */
+  def cellOfZ(grid: ZGrid, z: Int): (Int, Int) = {
+    val bits = java.lang.Integer.numberOfTrailingZeros(grid.l)
+    var cx = 0; var cy = 0
+    var b = 0
+    while (b < bits) {
+      cx |= ((z >> (2 * b + 1)) & 1) << b
+      cy |= ((z >> (2 * b)) & 1) << b
+      b += 1
+    }
+    (cx, cy)
+  }
+
   /** Min distance from `q` to the closed rectangle of cell `z`. */
   def cellMinDist(grid: ZGrid, q: Point, z: Int): Double = {
     import grid.{delta, minX, minY}
-    val (cx, cy) = grid.cellOfZ(z)
+    val (cx, cy) = cellOfZ(grid, z)
     val x0 = minX + cx * delta; val y0 = minY + cy * delta
     val dx = if (q.x < x0) x0 - q.x else if (q.x > x0 + delta) q.x - (x0 + delta) else 0.0
     val dy = if (q.y < y0) y0 - q.y else if (q.y > y0 + delta) q.y - (y0 + delta) else 0.0

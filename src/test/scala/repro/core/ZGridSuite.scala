@@ -22,8 +22,12 @@ class ZGridSuite extends AnyFunSuite {
   }
 
   test("zOf/cellOfZ round-trip over the full 8x8 grid") {
-    for (cx <- 0 until 8; cy <- 0 until 8)
-      assert(grid.cellOfZ(grid.zOf(cx, cy)) == ((cx, cy)))
+    for (cx <- 0 until 8; cy <- 0 until 8) {
+      val z = grid.zOf(cx, cy)
+      assert(ReferenceBounds.cellOfZ(grid, z) == ((cx, cy)))
+      assert(grid.cornerX(z) == grid.minX + cx * grid.delta)
+      assert(grid.cornerY(z) == grid.minY + cy * grid.delta)
+    }
   }
 
   test("z-values are a bijection over cells") {
@@ -74,7 +78,7 @@ class ZGridSuite extends AnyFunSuite {
 
   test("cellMinDist is zero inside the cell") {
     val z = grid.zOf(3, 3)
-    assert(grid.cellMinDist(Point(3.5, 3.2), z) == 0.0)
+    assert(grid.cellMinDist(Point(3.5, 3.2), grid.cornerX(z), grid.cornerY(z)) == 0.0)
   }
 
   test("cellMinDist lower-bounds distance to any point in the cell") {
@@ -83,7 +87,7 @@ class ZGridSuite extends AnyFunSuite {
     for (_ <- 1 to 300) {
       val inCell = Point(5.0 + rnd.nextDouble(), 2.0 + rnd.nextDouble())
       val q = Point(rnd.nextDouble() * 8, rnd.nextDouble() * 8)
-      assert(grid.cellMinDist(q, z) <= q.dist(inCell) + 1e-12)
+      assert(grid.cellMinDist(q, grid.cornerX(z), grid.cornerY(z)) <= q.dist(inCell) + 1e-12)
     }
   }
 
