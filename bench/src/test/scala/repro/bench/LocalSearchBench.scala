@@ -48,6 +48,8 @@ object LocalSearchBench {
 
   def main(argv: Array[String]): Unit = {
     val kv = argv.grouped(2).collect { case Array(k, v) if k.startsWith("--") => k.drop(2) -> v }.toMap
+    require(argv.length == 2 * kv.size && kv.keySet.subsetOf(Set("dataset", "measure")),
+      s"usage: LocalSearchBench [--dataset NAME] [--measure NAME], got: ${argv.mkString(" ")}")
     // Letters only, so that Xi'an can be given as Xian.
     def key(name: String) = name.filter(_.isLetter).toLowerCase
     val spec = Datasets.all.find(s => key(s.name) == key(kv.getOrElse("dataset", "OSM")))
