@@ -94,7 +94,7 @@ object LocalSearchBench {
     val pivots = RPTrie.selectPivots(sample, measure, 5, 10, 42L)
     val parts: Array[(RPTrie, Array[Trajectory])] = Array.tabulate(Partitions) { p =>
       val ts = trajs.filter(_.id % Partitions == p)
-      (RPTrie.build(ts, grid, measure, givenPivots = pivots), ts)
+      (RPTrie.build(ts, grid, measure, pivots), ts)
     }
     val buildS = (System.nanoTime() - t0) / 1e9
     val qs = TrajGen.queries(spec, nq).map(_.points)

@@ -21,7 +21,6 @@ final case class RpTraj(trajs: Array[Trajectory], index: RPTrie)
 final case class ReposeConfig(
     delta: Double,
     np: Int = 5,
-    pivotGroups: Int = 10,
     numPartitions: Int = 16,
     strategy: PartitionStrategy = Heterogeneous,
     optimizedTrie: Boolean = true,
@@ -40,6 +39,11 @@ final case class ReposeConfig(
 object Repose {
 
   type RpTrieRDD = RDD[RpTraj]
+
+  /** Random candidate groups `selectPivots` scores by pairwise distance sum
+    * when it picks the global pivots (§III-B).
+    */
+  private val PivotGroups = 10
 
   final class Index(
       val rdd: RpTrieRDD,
@@ -153,11 +157,15 @@ object Repose {
     val grid = ZGrid.fit(mbr, cfg.delta)
 
     // Global pivots: selected once on the driver from a sample. They and the
-    // grid are small, so the closure that builds the tries carries them.
-    val sampleSize = math.max(cfg.np * 20, 100)
-    val sample = trajs.takeSample(withReplacement = false, sampleSize, cfg.seed)
+    // grid are small, so the closure that builds the tries carries them. A
+    // non-metric measure keeps no pivot, so it draws no sample.
     val pivots =
-      RPTrie.selectPivots(sample, measure, cfg.np, cfg.pivotGroups, cfg.seed)
+      if (!measure.isMetric || cfg.np <= 0) Array.empty[Array[Point]]
+      else {
+        val sampleSize = math.max(cfg.np * 20, 100)
+        val sample = trajs.takeSample(withReplacement = false, sampleSize, cfg.seed)
+        RPTrie.selectPivots(sample, measure, cfg.np, PivotGroups, cfg.seed)
+      }
 
     val assigned = GlobalPartitioning.assign(trajs, cfg.strategy, cfg.numPartitions, mbr)
     val part = GlobalPartitioning.partitioned(assigned, cfg.numPartitions)
@@ -168,8 +176,7 @@ object Repose {
         if (arr.isEmpty) Iterator.empty
         else {
           // Partition-local ids are array indices; global ids live in Trajectory.id.
-          val trie = RPTrie.build(
-            arr, grid, measure, optimized = optimized, givenPivots = pivots)
+          val trie = RPTrie.build(arr, grid, measure, pivots, optimized)
           Iterator.single(RpTraj(arr, trie))
         }
       }

@@ -121,9 +121,8 @@ object ZGrid {
     * The region is the square of side `U = max(width, height)` anchored at
     * the MBR's lower-left corner, padded by one δ so boundary points fall
     * strictly inside. `l` is the smallest power of two with `l·delta ≥ U`,
-    * clamped to [2, 4096] (the clamp adjusts δ upward for extreme requests;
-    * z-values stay within 24 bits and the succinct encoding switches to its
-    * sparse form well before this — see DESIGN.md).
+    * clamped to [2, 4096] (the clamp adjusts δ upward for extreme requests
+    * and keeps z-values within 24 bits — see DESIGN.md).
     */
   def fit(mbr: MBR, delta: Double, maxSide: Int = 4096): ZGrid = {
     require(delta > 0, "delta must be positive")

@@ -5,19 +5,19 @@ import scala.util.Random
 
 import repro.core.{Measure, Point, Trajectory, ZGrid}
 
-/** Reference point trie (§III-B) in the paper's succinct layout, after SuRF,
-  * and path-compressed (PATRICIA, ART): a node is a maximal unary chain of
-  * the per-label trie. Its incoming edge is a run of z-labels, `labelAt(i)`
-  * for i in [`runFrom(v)`, `runUntil(v)`), held in one flat array; a run ends
-  * where the per-label trie branches or holds ids, and the root's is empty.
-  * A chain node's payload was its run end's, so payloads are stored per node;
-  * `numLabels + 1` is the per-label node count.
+/** Reference point trie (§III-B) in a flat, succinct layout after SuRF's
+  * sparse levels, and path-compressed (PATRICIA, ART): a node is a maximal
+  * unary chain of the per-label trie. Its incoming edge is a run of z-labels,
+  * `labelAt(i)` for i in [`runFrom(v)`, `runUntil(v)`), held in one flat
+  * array; a run ends where the per-label trie branches or holds ids, and the
+  * root's is empty. A chain node's payload was its run end's, so payloads are
+  * stored per node; `numLabels + 1` is the per-label node count.
   *
   * Handles are ints in [0, numNodes) in BFS order, children in ascending first
   * label, so v's children are the handles [firstChild(v), firstChild(v + 1));
-  * the root is 0. Upper (dense) levels key a `numCells`-bit bitmap `B_c` per
-  * node on its children's first labels, which are distinct; lower (sparse)
-  * levels read them from the children's runs. Payloads are flat arrays.
+  * the root is 0. A child's first label is the first label of its run. The
+  * search only enumerates children, so no per-node label bitmap is kept.
+  * Payloads are flat arrays.
   *
   * A node may both carry trajectory ids (the paper's `$`-terminated leaf for
   * a reference trajectory that is a prefix of another) and have children.
@@ -27,10 +27,6 @@ final class RPTrie private (
     val measure: Measure,
     /** Global pivot trajectories (empty for non-metric measures). */
     val pivots: Array[Array[Point]],
-    /** Handles [0, denseCount) use the dense encoding. */
-    val denseCount: Int,
-    wordsPerNode: Int,
-    bc: Array[Long],
     firstChild: Array[Int],
     runStart: Array[Int],
     runLabels: Array[Int],
@@ -58,23 +54,8 @@ final class RPTrie private (
     */
   def foreachChild(v: Int)(f: (Int, Int) => Unit): Unit = {
     var child = firstChild(v)
-    if (v < denseCount) {
-      val base = v * wordsPerNode
-      var w = 0
-      while (w < wordsPerNode) {
-        var word = bc(base + w)
-        while (word != 0L) {
-          val bit = java.lang.Long.numberOfTrailingZeros(word)
-          f(w * 64 + bit, child)
-          child += 1
-          word &= word - 1
-        }
-        w += 1
-      }
-    } else {
-      val e = firstChild(v + 1)
-      while (child < e) { f(runLabels(runStart(child)), child); child += 1 }
-    }
+    val e = firstChild(v + 1)
+    while (child < e) { f(runLabels(runStart(child)), child); child += 1 }
   }
 
   /** The run of `v` is `labelAt(i)` for i in [`runFrom(v)`, `runUntil(v)`). */
@@ -115,12 +96,6 @@ final class RPTrie private (
 
 object RPTrie {
 
-  /** Grids with more cells than this encode every level sparsely. */
-  val DenseCellMax = 4096
-
-  /** Upper levels are dense while the node count through them is within this. */
-  val DenseNodeMax = 256
-
   /** Build-time node; children are keyed by their runs' first labels. */
   private final class BNode(var run: Array[Int]) {
     var children = mutable.LinkedHashMap.empty[Int, BNode]
@@ -133,42 +108,30 @@ object RPTrie {
 
   /** Build an RP-Trie over `trajs` (§III-B).
     *
+    * @param pivots    global pivot trajectories, selected once on the driver
+    *                  by `selectPivots` and shipped in the closure that builds
+    *                  each partition's trie; dropped for non-metric measures,
+    *                  whose search has no `LB_p`.
     * @param optimized use the greedy hitting-set z-value re-arrangement
     *                  (§III-C) — applied only when the measure is order
     *                  independent (Hausdorff); otherwise the order-preserving
     *                  trie is built.
-    * @param np          number of pivot trajectories (0 disables `LB_p`;
-    *                    forced to 0 for non-metric measures)
-    * @param pivotGroups number of random candidate groups scored by pairwise
-    *                    distance sum when selecting pivots (§III-B)
-    * @param givenPivots pre-selected (global) pivot trajectories — the
-    *                    distributed build selects pivots once on the driver
-    *                    and broadcasts them; when null, pivots are selected
-    *                    locally from `trajs`.
-    * @param denseNodeMax test hook for the dense/sparse split (0 encodes
-    *                    every level sparsely); builds use `DenseNodeMax`.
     */
   def build(
       trajs: Array[Trajectory],
       grid: ZGrid,
       measure: Measure,
-      np: Int = 5,
-      pivotGroups: Int = 10,
+      pivots: Array[Array[Point]],
       optimized: Boolean = true,
-      seed: Long = 42L,
-      givenPivots: Array[Array[Point]] = null,
-      denseNodeMax: Int = DenseNodeMax,
   ): RPTrie = {
-    val pivots =
-      if (givenPivots != null) { if (measure.isMetric) givenPivots else Array.empty[Array[Point]] }
-      else selectPivots(trajs, measure, np, pivotGroups, seed)
+    val kept = if (measure.isMetric) pivots else Array.empty[Array[Point]]
     val root = new BNode(Array.emptyIntArray)
     if (optimized && measure.orderIndependent)
       buildGreedy(root,
         mutable.ArrayBuffer.tabulate(trajs.length)(i => (grid.refSet(trajs(i).points), i)))
     else trajs.indices.foreach(i => insert(root, grid.refSeq(trajs(i).points), i))
-    val numNodes = computePayloads(root, trajs, grid, measure, pivots)
-    freeze(root, numNodes, trajs.length, grid, measure, pivots, denseNodeMax)
+    val numNodes = computePayloads(root, trajs, grid, measure, kept)
+    freeze(root, numNodes, trajs.length, grid, measure, kept)
   }
 
   /** Select `np` pivots by sampling `groups` random groups and keeping the
@@ -314,10 +277,7 @@ object RPTrie {
 
   /** Freeze the build tree into the flat layout in one BFS pass. The BFS
     * array doubles as the queue: a node's children get the next free handles
-    * when it is dequeued. When the pass reaches a level's first node, that
-    * level is exactly the nodes enqueued but not yet dequeued, so whole levels
-    * are encoded densely while the node count through them stays within
-    * `denseNodeMax` and the grid has at most `DenseCellMax` cells.
+    * when it is dequeued.
     */
   private def freeze(
       root: BNode,
@@ -326,17 +286,11 @@ object RPTrie {
       grid: ZGrid,
       measure: Measure,
       pivots: Array[Array[Point]],
-      denseNodeMax: Int,
   ): RPTrie = {
     val np = pivots.length
-    val denseAllowed = grid.numCells <= DenseCellMax
-    val wordsPerNode = math.max(1, (grid.numCells + 63) / 64)
     val bfs = new Array[BNode](n)
     bfs(0) = root
     var next = 1
-    var levelEnd = 0
-    var denseCount = 0
-    var bc = Array.emptyLongArray
     val firstChild = new Array[Int](n + 1)
     val runStart = new Array[Int](n + 1)
     val runLabels = mutable.ArrayBuilder.make[Int]
@@ -349,14 +303,6 @@ object RPTrie {
 
     var v = 0
     while (v < n) {
-      if (v == levelEnd) {
-        // Every level so far was dense exactly when v == denseCount.
-        if (v == denseCount && denseAllowed && next <= denseNodeMax) {
-          denseCount = next
-          bc = java.util.Arrays.copyOf(bc, denseCount * wordsPerNode)
-        }
-        levelEnd = next
-      }
       val b = bfs(v)
       runLabels ++= b.run
       runStart(v + 1) = runStart(v) + b.run.length
@@ -364,7 +310,6 @@ object RPTrie {
       b.children.values.toArray.sortBy(_.run(0)).foreach { c =>
         bfs(next) = c
         next += 1
-        if (v < denseCount) bc(v * wordsPerNode + (c.run(0) >> 6)) |= 1L << (c.run(0) & 63)
       }
       b.tids.copyToArray(tidArr, tidStart(v))
       tidStart(v + 1) = tidStart(v) + b.tids.length
@@ -377,8 +322,7 @@ object RPTrie {
     firstChild(n) = n
 
     new RPTrie(
-      grid, measure, pivots, denseCount, wordsPerNode, bc, firstChild,
-      runStart, runLabels.result(), tidStart, tidArr, dmaxArr, maxDevArr,
-      hrMinArr, hrMaxArr)
+      grid, measure, pivots, firstChild, runStart, runLabels.result(), tidStart,
+      tidArr, dmaxArr, maxDevArr, hrMinArr, hrMaxArr)
   }
 }

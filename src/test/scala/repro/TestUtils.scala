@@ -82,6 +82,18 @@ object TestUtils {
       s"got ${got.mkString(", ")}; expected ${expected.mkString(", ")}")
   }
 
+  /** A trie over `trajs` whose `np` pivots `selectPivots` picks from `trajs`
+    * themselves (10 candidate groups, seed 42).
+    */
+  def trie(
+      trajs: Array[Trajectory],
+      grid: ZGrid,
+      measure: Measure,
+      np: Int = 5,
+      optimized: Boolean = true,
+  ): RPTrie =
+    RPTrie.build(trajs, grid, measure, RPTrie.selectPivots(trajs, measure, np, 10, 42L), optimized)
+
   /** The run of z-labels on the edge into trie node `v`. */
   def run(trie: RPTrie, v: Int): Seq[Int] =
     (trie.runFrom(v) until trie.runUntil(v)).map(trie.labelAt)

@@ -213,6 +213,16 @@ class ReposeSuite extends SparkSpec {
       }
       try assert(jobs >= 1 && jobs <= 5, s"$jobs jobs") finally idx.unpersist()
     }
+
+    // A non-metric measure keeps no pivot, so the build draws no pivot sample.
+    test(s"a DTW build runs at most 3 Spark jobs under ${st.name} partitioning") {
+      var idx: Repose.Index = null
+      val jobs = jobsRunBy {
+        idx = Repose.build(spark, rdd, DTW,
+          ReposeConfig(delta = 1.0, numPartitions = 6, strategy = st))
+      }
+      try assert(jobs >= 1 && jobs <= 3, s"$jobs jobs") finally idx.unpersist()
+    }
   }
 
   test("LS queryBatch matches brute force per query") {

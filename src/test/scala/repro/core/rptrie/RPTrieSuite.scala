@@ -51,7 +51,7 @@ class RPTrieSuite extends AnyFunSuite {
   private val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
 
   test("plain trie: every trajectory's reference sequence ends at a node holding its tid") {
-    val trie = RPTrie.build(rts, grid, Frechet, optimized = false)
+    val trie = TestUtils.trie(rts, grid, Frechet, optimized = false)
     rts.zipWithIndex.foreach { case (t, i) =>
       val node = walk(trie, grid.refSeq(t.points))
       assert(node.isDefined, s"path missing for trajectory $i")
@@ -60,13 +60,13 @@ class RPTrieSuite extends AnyFunSuite {
   }
 
   test("plain trie: every tid appears exactly once") {
-    val trie = RPTrie.build(rts, grid, Frechet, optimized = false)
+    val trie = TestUtils.trie(rts, grid, Frechet, optimized = false)
     val seen = allNodes(trie).flatMap(trie.tids)
     assert(seen.sorted == rts.indices.toList)
   }
 
   test("plain trie: node count equals distinct prefixes plus root") {
-    val trie = RPTrie.build(rts, grid, Frechet, optimized = false)
+    val trie = TestUtils.trie(rts, grid, Frechet, optimized = false)
     val prefixes = mutable.Set.empty[List[Int]]
     rts.foreach { t =>
       val zs = grid.refSeq(t.points).toList
@@ -78,7 +78,7 @@ class RPTrieSuite extends AnyFunSuite {
   test("prefix trajectories terminate at internal accepting nodes ($ behaviour)") {
     val a = Trajectory(0, Array(Point(0.5, 0.5), Point(1.5, 0.5)))
     val b = Trajectory(1, Array(Point(0.5, 0.5), Point(1.5, 0.5), Point(2.5, 0.5)))
-    val trie = RPTrie.build(Array(a, b), grid8, Frechet, optimized = false)
+    val trie = TestUtils.trie(Array(a, b), grid8, Frechet, optimized = false)
     val na = walk(trie, grid8.refSeq(a.points)).get
     assert(trie.tids(na).contains(0))
     assert(trie.childCount(na) == 1) // continues to b's last cell
@@ -102,7 +102,7 @@ class RPTrieSuite extends AnyFunSuite {
 
   test("Example 3: greedy first level is {0011, 0100, 0101}") {
     val (trajs, g) = tableXTrajs
-    val trie = RPTrie.build(trajs, g, Hausdorff, optimized = true)
+    val trie = TestUtils.trie(trajs, g, Hausdorff, optimized = true)
     val labels = mutable.ArrayBuffer.empty[Int]
     trie.foreachChild(trie.root)((z, _) => labels += z)
     assert(labels.sorted.toList == List(3, 4, 5))
@@ -110,7 +110,7 @@ class RPTrieSuite extends AnyFunSuite {
 
   test("Example 3: subtree trajectory assignment follows the greedy claims") {
     val (trajs, g) = tableXTrajs
-    val trie = RPTrie.build(trajs, g, Hausdorff, optimized = true)
+    val trie = TestUtils.trie(trajs, g, Hausdorff, optimized = true)
     def subTids(z: Int): Set[Int] = {
       var handle = -1
       trie.foreachChild(trie.root)((cz, c) => if (cz == z) handle = c)
@@ -126,7 +126,7 @@ class RPTrieSuite extends AnyFunSuite {
 
   test("Example 3: optimized trie has 12 nodes (Fig. 10)") {
     val (trajs, g) = tableXTrajs
-    val trie = RPTrie.build(trajs, g, Hausdorff, optimized = true)
+    val trie = TestUtils.trie(trajs, g, Hausdorff, optimized = true)
     assert(trie.numLabels + 1 == 12) // per-label nodes
     assert(trie.numNodes == 11)      // only the chain 0101 → 0110 merges
   }
@@ -134,8 +134,8 @@ class RPTrieSuite extends AnyFunSuite {
   test("z-rearrangement merges reversed trajectories (Fig. 3 effect)") {
     val a = Trajectory(0, Array(Point(0.5, 0.5), Point(1.5, 1.5)))
     val b = Trajectory(1, Array(Point(1.5, 1.5), Point(0.5, 0.5)))
-    val plain = RPTrie.build(Array(a, b), grid8, Hausdorff, optimized = false)
-    val opt = RPTrie.build(Array(a, b), grid8, Hausdorff, optimized = true)
+    val plain = TestUtils.trie(Array(a, b), grid8, Hausdorff, optimized = false)
+    val opt = TestUtils.trie(Array(a, b), grid8, Hausdorff, optimized = true)
     assert(plain.numLabels + 1 == 5) // root + two 2-node chains
     assert(opt.numLabels + 1 == 3)   // root + shared chain of 2
     assert(plain.numNodes == 3 && opt.numNodes == 2) // one run per chain
@@ -144,30 +144,30 @@ class RPTrieSuite extends AnyFunSuite {
   test("optimized trie never has more nodes than the plain trie (random data)") {
     for (seed <- 1 to 5) {
       val ts = TestUtils.randomTrajs(80, maxLen = 12, seed = seed)
-      val plain = RPTrie.build(ts, grid, Hausdorff, optimized = false)
-      val opt = RPTrie.build(ts, grid, Hausdorff, optimized = true)
+      val plain = TestUtils.trie(ts, grid, Hausdorff, optimized = false)
+      val opt = TestUtils.trie(ts, grid, Hausdorff, optimized = true)
       assert(opt.numLabels <= plain.numLabels, s"seed $seed: ${opt.numLabels} > ${plain.numLabels}")
     }
   }
 
   test("optimized build preserves all tids") {
     val ts = TestUtils.randomTrajs(80, maxLen = 12, seed = 23L)
-    val trie = RPTrie.build(ts, grid, Hausdorff, optimized = true)
+    val trie = TestUtils.trie(ts, grid, Hausdorff, optimized = true)
     assert(allNodes(trie).flatMap(trie.tids).sorted == ts.indices.toList)
   }
 
   test("optimized build is only applied to order-independent measures") {
     val ts = TestUtils.randomTrajs(40, maxLen = 10, seed = 29L)
-    val f = RPTrie.build(ts, grid, Frechet, optimized = true)
+    val f = TestUtils.trie(ts, grid, Frechet, optimized = true)
     // Frechet is order-sensitive: structure must match the plain build.
-    val fPlain = RPTrie.build(ts, grid, Frechet, optimized = false)
+    val fPlain = TestUtils.trie(ts, grid, Frechet, optimized = false)
     assert(f.numNodes == fPlain.numNodes)
   }
 
   test("greedy determinism: identical builds for identical input") {
     val ts = TestUtils.randomTrajs(50, maxLen = 10, seed = 31L)
-    val t1 = RPTrie.build(ts, grid, Hausdorff, optimized = true)
-    val t2 = RPTrie.build(ts, grid, Hausdorff, optimized = true)
+    val t1 = TestUtils.trie(ts, grid, Hausdorff, optimized = true)
+    val t2 = TestUtils.trie(ts, grid, Hausdorff, optimized = true)
     assert(t1.numNodes == t2.numNodes)
     assert(paths(t1).values.toSet == paths(t2).values.toSet)
   }
@@ -176,7 +176,7 @@ class RPTrieSuite extends AnyFunSuite {
 
   private def builtWithPivots = {
     val ts = TestUtils.randomTrajs(60, maxLen = 12, seed = 37L)
-    (ts, RPTrie.build(ts, grid, Hausdorff, np = 3, optimized = true))
+    (ts, TestUtils.trie(ts, grid, Hausdorff, np = 3, optimized = true))
   }
 
   test("HR ranges are consistent (min <= max) wherever the subtree accepts") {
@@ -257,12 +257,16 @@ class RPTrieSuite extends AnyFunSuite {
 
   test("no pivots selected for non-metric measures") {
     val ts = TestUtils.randomTrajs(20, maxLen = 8, seed = 47L)
-    assert(RPTrie.build(ts, grid, DTW).pivots.isEmpty)
+    assert(RPTrie.selectPivots(ts, DTW, 5, 10, 42L).isEmpty)
+    // The build drops given pivots too: a non-metric search has no LB_p.
+    val metricPivots = RPTrie.selectPivots(ts, Hausdorff, 5, 10, 42L)
+    assert(metricPivots.nonEmpty)
+    assert(RPTrie.build(ts, grid, DTW, metricPivots).pivots.isEmpty)
   }
 
   test("empty pivot request yields empty pivots") {
     val ts = TestUtils.randomTrajs(20, maxLen = 8, seed = 53L)
-    assert(RPTrie.build(ts, grid, Hausdorff, np = 0).pivots.isEmpty)
+    assert(TestUtils.trie(ts, grid, Hausdorff, np = 0).pivots.isEmpty)
   }
 
   test("estimatedSizeBytes is positive") {

@@ -6,9 +6,12 @@ import scala.collection.mutable
 import repro.TestUtils
 import repro.core._
 
-/** Succinct encoding tests: the default (dense upper levels) and all-sparse
-  * encodings of one build traverse identically, and the dense/sparse level
-  * split follows `denseNodeMax` and the grid alphabet.
+/** Succinct encoding tests. The trie has one child encoding, the sparse one
+  * that was the all-sparse end of the former dense/sparse level split, so the
+  * default build is the all-sparse encoding. The cases keep their names and
+  * check that two builds of one input traverse identically, payloads
+  * included: Spark rebuilds a partition's trie when it recomputes an evicted
+  * partition, and the answers must not change.
   */
 class SuccinctSuite extends AnyFunSuite {
 
@@ -46,54 +49,19 @@ class SuccinctSuite extends AnyFunSuite {
 
   for (m <- measures; opt <- Seq(false, true)) {
     test(s"default and all-sparse encodings traverse identically (${m.name}, optimized=$opt)") {
-      val default = RPTrie.build(trajs, grid, m, np = 3, optimized = opt)
-      val sparse = RPTrie.build(trajs, grid, m, np = 3, optimized = opt, denseNodeMax = 0)
-      assert(default.denseCount > 0)
-      assertEquivalent(default, sparse)
+      assertEquivalent(TestUtils.trie(trajs, grid, m, np = 3, optimized = opt),
+        TestUtils.trie(trajs, grid, m, np = 3, optimized = opt))
     }
-  }
-
-  test("dense/sparse split: tiny denseNodeMax pushes everything sparse") {
-    val allSparse = RPTrie.build(trajs, grid, Hausdorff, np = 2, denseNodeMax = 0)
-    assert(allSparse.denseCount == 0)
-    assertEquivalent(RPTrie.build(trajs, grid, Hausdorff, np = 2), allSparse)
-  }
-
-  test("dense/sparse split: huge denseNodeMax makes everything dense") {
-    val allDense = RPTrie.build(trajs, grid, Hausdorff, np = 2, denseNodeMax = Int.MaxValue)
-    assert(allDense.denseCount == allDense.numNodes)
-    assertEquivalent(RPTrie.build(trajs, grid, Hausdorff, np = 2), allDense)
-  }
-
-  test("large alphabets (cells > denseCellMax) fall back to all-sparse") {
-    val fineGrid = ZGrid.fit(MBR(0, 0, 10, 10), 0.05) // 256x256 = 65536 cells
-    assert(fineGrid.numCells > RPTrie.DenseCellMax)
-    val trie = RPTrie.build(trajs, fineGrid, Hausdorff, np = 2)
-    assert(trie.denseCount == 0)
-    assertEquivalent(RPTrie.build(trajs, fineGrid, Hausdorff, np = 2, denseNodeMax = 0), trie)
-  }
-
-  test("default split has a dense upper part on small alphabets") {
-    val trie = RPTrie.build(trajs, grid, Hausdorff, np = 2)
-    assert(trie.denseCount > 0)
-    assert(trie.denseCount <= trie.numNodes)
-  }
-
-  test("a split inside the trie traverses like the all-sparse encoding") {
-    val whole = RPTrie.build(trajs, grid, Frechet, np = 2)
-    val mixed = RPTrie.build(trajs, grid, Frechet, np = 2, denseNodeMax = whole.numNodes / 2)
-    assert(mixed.denseCount > 0 && mixed.denseCount < mixed.numNodes)
-    assertEquivalent(mixed, RPTrie.build(trajs, grid, Frechet, np = 2, denseNodeMax = 0))
   }
 
   test("search results are identical on default and all-sparse encodings") {
     val q = TestUtils.randomQuery(9, seed = 137L)
-    val default = RPTrie.build(trajs, grid, Hausdorff, np = 3)
-    val sparse = RPTrie.build(trajs, grid, Hausdorff, np = 3, denseNodeMax = 0)
     val statsA = new repro.core.search.LocalSearch.Stats
     val statsB = new repro.core.search.LocalSearch.Stats
-    val a = repro.core.search.LocalSearch.topK(default, trajs, q, 15, statsA)
-    val b = repro.core.search.LocalSearch.topK(sparse, trajs, q, 15, statsB)
+    val a = repro.core.search.LocalSearch.topK(
+      TestUtils.trie(trajs, grid, Hausdorff, np = 3), trajs, q, 15, statsA)
+    val b = repro.core.search.LocalSearch.topK(
+      TestUtils.trie(trajs, grid, Hausdorff, np = 3), trajs, q, 15, statsB)
     assert(a.toSeq == b.toSeq)
     assert(statsA.nodesPopped == statsB.nodesPopped)
     assert(statsA.nodesPushed == statsB.nodesPushed)
@@ -101,7 +69,7 @@ class SuccinctSuite extends AnyFunSuite {
   }
 
   test("encoding a single-node trie works") {
-    val trie = RPTrie.build(Array.empty[Trajectory], grid, Hausdorff)
+    val trie = TestUtils.trie(Array.empty[Trajectory], grid, Hausdorff)
     assert(trie.numNodes == 1)
     assert(children(trie, 0).isEmpty)
     assert(trie.tids(0).isEmpty)

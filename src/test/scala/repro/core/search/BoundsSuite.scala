@@ -54,7 +54,7 @@ class BoundsSuite extends AnyFunSuite {
   }
 
   for (m <- measures) {
-    val trie = RPTrie.build(trajs, grid, m, np = 3,
+    val trie = TestUtils.trie(trajs, grid, m, np = 3,
       optimized = m.orderIndependent)
     val ops = BoundsOps.forMeasure(m, grid, q)
     val sub = subtreeTids(trie)

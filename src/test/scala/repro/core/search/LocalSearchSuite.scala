@@ -4,11 +4,10 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtils
 import repro.core._
-import repro.core.rptrie.RPTrie
 
 /** Exactness of the best-first local search (Algorithm 2): for every measure,
-  * trie variant (plain/optimized; all-dense, default or all-sparse
-  * encoding), grid resolution, and k, the result must match brute force.
+  * trie variant (plain/optimized), grid resolution, and k, the result must
+  * match brute force.
   */
 class LocalSearchSuite extends AnyFunSuite {
 
@@ -21,36 +20,25 @@ class LocalSearchSuite extends AnyFunSuite {
     TestUtils.randomQuery(12, seed = 79L),
   )
 
-  // `succinct=true` is the index's split: dense child bitmaps on the upper
-  // levels, sparse labels below. These path-compressed tries have ~180
-  // nodes, within the index's own `DenseNodeMax`, so the split is set lower
-  // to keep both parts. `succinct=false` keeps a full child bitmap at every
-  // node, the uncompressed fixed fan-out layout, and `all-sparse` has no
-  // dense level at all; the search must be exact on either end of the split
-  // as well.
-  private val encodings = Seq(
-    "succinct=false" -> Int.MaxValue,
-    "succinct=true" -> 64,
-    "all-sparse" -> 0,
+  // Three query sets. Each is named after one of the child encodings the trie
+  // had before it kept only the sparse one, which keeps the cases' names; the
+  // trie is the same under every label, and `all-sparse` runs `queries`.
+  private val querySets = Seq(
+    "succinct=false" -> Seq(TestUtils.randomQuery(6, seed = 173L), TestUtils.randomQuery(12, seed = 179L)),
+    "succinct=true" -> Seq(TestUtils.randomQuery(6, seed = 273L), TestUtils.randomQuery(12, seed = 279L)),
+    "all-sparse" -> queries,
   )
 
   for {
     m <- measures
     optimized <- Seq(false, true)
-    (encoding, denseNodeMax) <- encodings
+    (label, qs) <- querySets
     k <- Seq(1, 5, 20)
   } {
-    val label = s"${m.name} optimized=$optimized $encoding k=$k"
-    test(s"topK matches brute force: $label") {
+    test(s"topK matches brute force: ${m.name} optimized=$optimized $label k=$k") {
       val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
-      val trie = RPTrie.build(trajs, grid, m, np = 3, optimized = optimized,
-        denseNodeMax = denseNodeMax)
-      denseNodeMax match {
-        case Int.MaxValue => assert(trie.denseCount == trie.numNodes)
-        case 0 => assert(trie.denseCount == 0)
-        case _ => assert(trie.denseCount > 0 && trie.denseCount < trie.numNodes)
-      }
-      queries.foreach { q =>
+      val trie = TestUtils.trie(trajs, grid, m, np = 3, optimized = optimized)
+      qs.foreach { q =>
         val got = LocalSearch.topK(trie, trajs, q, k)
         val expected = TestUtils.bruteTopK(trajs, q, k, m)
         TestUtils.assertTopKEqual(got, expected, trajs, q, m)
@@ -59,20 +47,24 @@ class LocalSearchSuite extends AnyFunSuite {
   }
 
   // Every trajectory twice, the larger id first: a search that cuts a tie by
-  // visit order instead of by id returns the wrong copy.
+  // visit order instead of by id returns the wrong copy. Each label queries
+  // with one stored trajectory and one random walk.
   private val tied = TestUtils.tiedTrajs(60, seed = 401L)
-  private val tiedQueries = Seq(tied(6).points, TestUtils.randomQuery(8, seed = 409L))
+  private val tiedQuerySets = Seq(
+    "succinct=false" -> Seq(tied(16).points, TestUtils.randomQuery(8, seed = 419L)),
+    "succinct=true" -> Seq(tied(26).points, TestUtils.randomQuery(8, seed = 429L)),
+    "all-sparse" -> Seq(tied(6).points, TestUtils.randomQuery(8, seed = 409L)),
+  )
 
   for {
     m <- measures
     optimized <- Seq(false, true)
-    (encoding, denseNodeMax) <- encodings
+    (label, qs) <- tiedQuerySets
   } {
-    test(s"topK breaks distance ties by id: ${m.name} optimized=$optimized $encoding") {
+    test(s"topK breaks distance ties by id: ${m.name} optimized=$optimized $label") {
       val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
-      val trie = RPTrie.build(tied, grid, m, np = 3, optimized = optimized,
-        denseNodeMax = denseNodeMax)
-      for (q <- tiedQueries; k <- Seq(1, 5, 11)) {
+      val trie = TestUtils.trie(tied, grid, m, np = 3, optimized = optimized)
+      for (q <- qs; k <- Seq(1, 5, 11)) {
         TestUtils.assertTopKEqual(LocalSearch.topK(trie, tied, q, k),
           TestUtils.bruteTopK(tied, q, k, m), tied, q, m)
       }
@@ -82,20 +74,20 @@ class LocalSearchSuite extends AnyFunSuite {
   test("k larger than dataset returns all trajectories") {
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
     val small = trajs.take(7)
-    val trie = RPTrie.build(small, grid, Hausdorff)
+    val trie = TestUtils.trie(small, grid, Hausdorff)
     val got = LocalSearch.topK(trie, small, queries.head, 100)
     assert(got.length == 7)
   }
 
   test("k = 0 returns empty") {
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
-    val trie = RPTrie.build(trajs, grid, Hausdorff)
+    val trie = TestUtils.trie(trajs, grid, Hausdorff)
     assert(LocalSearch.topK(trie, trajs, queries.head, 0).isEmpty)
   }
 
   test("results are sorted by ascending distance") {
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
-    val trie = RPTrie.build(trajs, grid, Frechet)
+    val trie = TestUtils.trie(trajs, grid, Frechet)
     val got = LocalSearch.topK(trie, trajs, queries.head, 25)
     assert(got.map(_._2).toSeq == got.map(_._2).sorted.toSeq)
   }
@@ -103,7 +95,7 @@ class LocalSearchSuite extends AnyFunSuite {
   test("finer grids still return exact results (delta sweep)") {
     for (delta <- Seq(0.25, 0.5, 2.0, 5.0)) {
       val grid = ZGrid.fit(MBR(0, 0, 10, 10), delta)
-      val trie = RPTrie.build(trajs, grid, Hausdorff, np = 3)
+      val trie = TestUtils.trie(trajs, grid, Hausdorff, np = 3)
       val got = LocalSearch.topK(trie, trajs, queries.head, 10)
       val expected = TestUtils.bruteTopK(trajs, queries.head, 10, Hausdorff)
       TestUtils.assertTopKEqual(got, expected, trajs, queries.head, Hausdorff)
@@ -113,7 +105,7 @@ class LocalSearchSuite extends AnyFunSuite {
   test("pivot counts sweep preserves exactness (N_p in 0,1,5,9)") {
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
     for (np <- Seq(0, 1, 5, 9)) {
-      val trie = RPTrie.build(trajs, grid, Hausdorff, np = np)
+      val trie = TestUtils.trie(trajs, grid, Hausdorff, np = np)
       val got = LocalSearch.topK(trie, trajs, queries.head, 10)
       val expected = TestUtils.bruteTopK(trajs, queries.head, 10, Hausdorff)
       TestUtils.assertTopKEqual(got, expected, trajs, queries.head, Hausdorff)
@@ -123,7 +115,7 @@ class LocalSearchSuite extends AnyFunSuite {
   test("pruning actually happens: fewer exact distances than trajectories (Hausdorff)") {
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 0.5)
     val big = TestUtils.randomTrajs(800, maxLen = 14, seed = 83L)
-    val trie = RPTrie.build(big, grid, Hausdorff, np = 5)
+    val trie = TestUtils.trie(big, grid, Hausdorff, np = 5)
     val stats = new LocalSearch.Stats
     LocalSearch.topK(trie, big, queries.head, 5, stats)
     assert(stats.exactDistances < big.length,
@@ -133,7 +125,7 @@ class LocalSearchSuite extends AnyFunSuite {
   test("best-first early termination visits fewer nodes than the whole trie") {
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 0.5)
     val big = TestUtils.randomTrajs(800, maxLen = 14, seed = 89L)
-    val trie = RPTrie.build(big, grid, Frechet, np = 5)
+    val trie = TestUtils.trie(big, grid, Frechet, np = 5)
     val stats = new LocalSearch.Stats
     LocalSearch.topK(trie, big, queries.head, 5, stats)
     assert(stats.nodesPopped < trie.numNodes)
@@ -143,7 +135,7 @@ class LocalSearchSuite extends AnyFunSuite {
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 0.25)
     val one = trajs.take(1)
     for (m <- measures; optimized <- Seq(false, true)) {
-      val trie = RPTrie.build(one, grid, m, optimized = optimized)
+      val trie = TestUtils.trie(one, grid, m, optimized = optimized)
       assert(trie.numNodes == 2 && trie.numLabels > 1)
       val stats = new LocalSearch.Stats
       LocalSearch.topK(trie, one, queries.head, 1, stats)
@@ -156,7 +148,7 @@ class LocalSearchSuite extends AnyFunSuite {
   test("cascade and abandon counters agree with the heap") {
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
     for (m <- measures; k <- Seq(1, 5, 20, trajs.length)) {
-      val trie = RPTrie.build(trajs, grid, m, np = 3)
+      val trie = TestUtils.trie(trajs, grid, m, np = 3)
       for (q <- queries) {
         val s = new LocalSearch.Stats
         LocalSearch.topK(trie, trajs, q, k, s)
@@ -176,7 +168,7 @@ class LocalSearchSuite extends AnyFunSuite {
       }
     }
     val big = TestUtils.randomTrajs(800, maxLen = 14, seed = 89L)
-    val trie = RPTrie.build(big, ZGrid.fit(MBR(0, 0, 10, 10), 0.5), Frechet, np = 5)
+    val trie = TestUtils.trie(big, ZGrid.fit(MBR(0, 0, 10, 10), 0.5), Frechet, np = 5)
     val s = new LocalSearch.Stats
     LocalSearch.topK(trie, big, queries.head, 5, s)
     assert(s.cutByEndpoint + s.cutByMbr > 0, "Frechet: no cascade cut")
@@ -186,7 +178,7 @@ class LocalSearchSuite extends AnyFunSuite {
     val base = TestUtils.randomTrajs(5, maxLen = 8, seed = 97L)
     val dup = base ++ base.map(t => Trajectory(t.id + 5, t.points))
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
-    val trie = RPTrie.build(dup, grid, Hausdorff)
+    val trie = TestUtils.trie(dup, grid, Hausdorff)
     val got = LocalSearch.topK(trie, dup, base(0).points, 2)
     assert(got.length == 2)
     assert(got.forall(_._2 <= 1e-9)) // the trajectory and its duplicate
@@ -195,7 +187,7 @@ class LocalSearchSuite extends AnyFunSuite {
   test("empty trajectory set returns empty result") {
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
     assert(LocalSearch.topK(
-      RPTrie.build(Array.empty[Trajectory], grid, Hausdorff),
+      TestUtils.trie(Array.empty[Trajectory], grid, Hausdorff),
       Array.empty, queries.head, 3).isEmpty)
   }
 }

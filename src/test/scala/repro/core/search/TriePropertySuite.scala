@@ -9,21 +9,21 @@ import repro.TestUtils
 import repro.core._
 import repro.core.rptrie.RPTrie
 
-/** Property tests over random data: for every measure, trie variant and
-  * encoding, the path-compressed trie's runs are maximal and spell every
-  * trajectory's reference sequence (or set), and the search over it returns
-  * the brute-force top-k. Fine grids make the runs long.
+/** Property tests over random data: for every measure and trie variant, the
+  * path-compressed trie's runs are maximal and spell every trajectory's
+  * reference sequence (or set), its children and ids read back consistently,
+  * and the search over it returns the brute-force top-k. Fine grids make the
+  * runs long.
   */
 class TriePropertySuite extends AnyFunSuite {
 
   private val measures: Seq[Measure] = Seq(
     Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
 
-  private val encodings = Seq(
-    "default" -> RPTrie.DenseNodeMax,
-    "all-dense" -> Int.MaxValue,
-    "all-sparse" -> 0,
-  )
+  // Three seeds. Each is named after one of the child encodings the trie had
+  // before it kept only the sparse one, which keeps the cases' names; the
+  // trie is built the same under every label, and `all-sparse` keeps seed 42.
+  private val seeds = Seq("default" -> 43L, "all-dense" -> 44L, "all-sparse" -> 42L)
 
   /** (data, query, k, δ); tied data holds every trajectory twice. */
   private val cases = for {
@@ -57,8 +57,26 @@ class TriePropertySuite extends AnyFunSuite {
     go(trie.root, Vector.empty)
   }
 
-  private def check(prop: Prop): Unit = {
-    val params = Test.Parameters.default.withMinSuccessfulTests(25).withInitialSeed(Seed(42L))
+  /** Asserts that `v`'s children come in strictly ascending first label, that
+    * each label `foreachChild` yields is its child's first run label, that
+    * there are `childCount(v)` of them, and that `tidFrom`/`tidUntil`/`tidAt`
+    * spell `tids(v)`.
+    */
+  private def assertNodeReadsBack(trie: RPTrie, v: Int): Unit = {
+    var prev = -1
+    var n = 0
+    trie.foreachChild(v) { (z, c) =>
+      assert(z > prev, s"node $v: child label $z after $prev")
+      assert(z == trie.labelAt(trie.runFrom(c)), s"node $v: label $z is not child $c's first")
+      prev = z
+      n += 1
+    }
+    assert(n == trie.childCount(v), s"node $v: $n children, childCount ${trie.childCount(v)}")
+    assert((trie.tidFrom(v) until trie.tidUntil(v)).map(trie.tidAt) == trie.tids(v).toSeq)
+  }
+
+  private def check(prop: Prop, seed: Long): Unit = {
+    val params = Test.Parameters.default.withMinSuccessfulTests(25).withInitialSeed(Seed(seed))
     val res = Test.check(params, prop)
     assert(res.passed, Pretty.pretty(res))
   }
@@ -66,22 +84,24 @@ class TriePropertySuite extends AnyFunSuite {
   for {
     m <- measures
     optimized <- Seq(false, true)
-    (encoding, denseNodeMax) <- encodings
+    (label, seed) <- seeds
   } {
-    test(s"compressed trie is exact and maximal: ${m.name} optimized=$optimized $encoding") {
+    test(s"compressed trie is exact and maximal: ${m.name} optimized=$optimized $label") {
       check(Prop.forAll(cases) { case (trajs, q, k, delta) =>
         val grid = ZGrid.fit(MBR(0, 0, 10, 10), delta)
-        val trie = RPTrie.build(trajs, grid, m, np = 3, optimized = optimized,
-          denseNodeMax = denseNodeMax)
-        for (v <- 1 until trie.numNodes) {
-          assert(trie.runUntil(v) > trie.runFrom(v), s"node $v has an empty run")
-          assert(trie.tids(v).nonEmpty || trie.childCount(v) >= 2, s"node $v is not maximal")
+        val trie = TestUtils.trie(trajs, grid, m, np = 3, optimized = optimized)
+        for (v <- 0 until trie.numNodes) {
+          if (v > 0) {
+            assert(trie.runUntil(v) > trie.runFrom(v), s"node $v has an empty run")
+            assert(trie.tids(v).nonEmpty || trie.childCount(v) >= 2, s"node $v is not maximal")
+          }
+          assertNodeReadsBack(trie, v)
         }
         assertPathsSpellReferences(trie, trajs, optimized && m.orderIndependent)
         TestUtils.assertTopKEqual(LocalSearch.topK(trie, trajs, q, k),
           TestUtils.bruteTopK(trajs, q, k, m), trajs, q, m)
         true
-      })
+      }, seed)
     }
   }
 }
