@@ -158,7 +158,8 @@ object Repose {
 
     // Global pivots: selected once on the driver from a sample. They and the
     // grid are small, so the closure that builds the tries carries them. A
-    // non-metric measure keeps no pivot, so it draws no sample.
+    // build that keeps no pivot (non-metric measure, or np ≤ 0) draws no
+    // sample.
     val pivots =
       if (!measure.isMetric || cfg.np <= 0) Array.empty[Array[Point]]
       else {

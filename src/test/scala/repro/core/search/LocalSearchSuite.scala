@@ -23,9 +23,11 @@ class LocalSearchSuite extends AnyFunSuite {
   // Three query sets. Each is named after one of the child encodings the trie
   // had before it kept only the sparse one, which keeps the cases' names; the
   // trie is the same under every label, and `all-sparse` runs `queries`.
+  private def queryPair(seed: Long) =
+    Seq(TestUtils.randomQuery(6, seed = seed), TestUtils.randomQuery(12, seed = seed + 6))
   private val querySets = Seq(
-    "succinct=false" -> Seq(TestUtils.randomQuery(6, seed = 173L), TestUtils.randomQuery(12, seed = 179L)),
-    "succinct=true" -> Seq(TestUtils.randomQuery(6, seed = 273L), TestUtils.randomQuery(12, seed = 279L)),
+    "succinct=false" -> queryPair(173L),
+    "succinct=true" -> queryPair(273L),
     "all-sparse" -> queries,
   )
 
