@@ -28,10 +28,15 @@ import repro.data.{Datasets, TrajGen}
   * of `TrajGen.queries`:
   *  - single-threaded, one query after another over all 16 tries and the
   *    merge; the p50 and p90 are over every query of every warm repeat;
-  *  - as a batch of 16 tasks, one per trie, on 4 threads, answering every
-  *    query and merged per query like `Repose.Index.queryBatch`.
+  *  - as a batch in the two rounds of `Repose.Index.queryBatch`: 16 tasks,
+  *    one per trie, on 4 threads, answer every query at ⌈k/16⌉ and are
+  *    merged per query; 16 more answer every query at k, each search
+  *    bounded by its query's merged k-th pair (θ, id_θ), and are merged
+  *    again.
   * Each mode makes one untimed warm pass and then 5 timed ones. It prints
-  * the figures and `LocalSearch.Stats` per query, and replaces this
+  * the figures and `LocalSearch.Stats` per query: the single-threaded
+  * (one-round) search's, then each batch round's (`r1_`, `r2_`); and
+  * replaces this
   * (dataset, measure, git SHA, cores) entry of
   * `BENCH_local.json` at the top of the checkout, one entry per line; the
   * SHA reads `+dirty` when `src/` differs from that commit. The
@@ -111,14 +116,25 @@ object LocalSearchBench {
       (ms, answers)
     }
     val pool = Executors.newFixedThreadPool(Threads)
-    def batch(): Array[Array[(Long, Double)]] = {
+    // One round of the batch: the top-k of every query, each search bounded
+    // by its query's entry of `bounds`, one task per trie; every task's
+    // counters are added to `stats`.
+    def round(k: Int, bounds: Array[(Double, Long)], stats: LocalSearch.Stats): Array[Array[(Long, Double)]] = {
       val tasks = parts.toSeq.map { case (trie, ts) =>
-        new Callable[Array[Array[(Long, Double)]]] {
-          def call() = { val stats = new LocalSearch.Stats; qs.map(q => LocalSearch.topK(trie, ts, q, K, stats)) }
+        new Callable[(Array[Array[(Long, Double)]], LocalSearch.Stats)] {
+          def call() = {
+            val s = new LocalSearch.Stats
+            (qs.indices.map(i => LocalSearch.topK(trie, ts, qs(i), k, s, bounds(i))).toArray, s)
+          }
         }
       }
       val rows = pool.invokeAll(tasks.asJava).asScala.map(_.get()).toArray
-      Array.tabulate(nq)(qi => TopK.merge(K, rows.iterator.map(_(qi))))
+      rows.foreach { case (_, s) => addTo(stats, s) }
+      Array.tabulate(nq)(qi => TopK.merge(K, rows.iterator.map(_._1(qi))))
+    }
+    def batch(r1: LocalSearch.Stats, r2: LocalSearch.Stats): Array[Array[(Long, Double)]] = {
+      val first = round((K + Partitions - 1) / Partitions, Array.fill(nq)(TopK.Unbounded), r1)
+      round(K, first.map(TopK.boundOf(K, _)), r2)
     }
 
     try {
@@ -134,20 +150,29 @@ object LocalSearchBench {
         require(a.map(_.toSeq).toSeq == answers.map(_.toSeq).toSeq, "single-threaded answers changed between passes")
         singleMs ++= ms
       }
-      require(batch().map(_.toSeq).toSeq == answers.map(_.toSeq).toSeq, "batch answers differ from single-threaded ones")
+      val (r1, r2) = (new LocalSearch.Stats, new LocalSearch.Stats)
+      require(batch(r1, r2).map(_.toSeq).toSeq == answers.map(_.toSeq).toSeq,
+        "batch answers differ from single-threaded ones")
       val batchMs = Seq.newBuilder[Double]
       val batchGc = Seq.newBuilder[Double]
       for (_ <- 1 to Repeats) {
         System.gc()
         val g = gcMs()
         val s = System.nanoTime()
-        batch()
+        batch(new LocalSearch.Stats, new LocalSearch.Stats)
         batchMs += (System.nanoTime() - s) / 1e6
         batchGc += (gcMs() - g).toDouble
       }
       val single1 = singleMs.result()
       val batch1 = batchMs.result()
-      val perQuery = (x: Long) => x.toDouble / nq
+      def counters(st: LocalSearch.Stats): Seq[(String, Double)] = Seq(
+        "nodes_popped" -> st.nodesPopped, "nodes_pushed" -> st.nodesPushed,
+        "labels_extended" -> st.labelsExtended, "exact_dists" -> st.exactDistances,
+        "exact_before_full" -> st.exactBeforeFull, "cut_by_endpoint" -> st.cutByEndpoint,
+        "cut_by_mbr" -> st.cutByMbr, "abandoned" -> st.abandoned,
+      ).map { case (name, x) => name -> x.toDouble / nq }
+      val (c0, c1, c2) = (counters(stats), counters(r1), counters(r2))
+      val prefixed = c1.map { case (name, v) => ("r1_" + name) -> v } ++ c2.map { case (name, v) => ("r2_" + name) -> v }
       val sha = git("rev-parse", "--short", "HEAD").getOrElse("unknown") +
         (if (git("status", "--porcelain", "--", ":/src").isDefined) "+dirty" else "")
       val figures = Seq[(String, Double)](
@@ -157,19 +182,30 @@ object LocalSearchBench {
         "single_gc_ms" -> median(singleGc.result()),
         "batch_ms_p50" -> median(batch1), "batch_ms_p90" -> percentile(batch1, 90),
         "batch_qps" -> nq / (median(batch1) / 1e3), "batch_gc_ms" -> median(batchGc.result()),
-        "nodes_popped" -> perQuery(stats.nodesPopped), "nodes_pushed" -> perQuery(stats.nodesPushed),
-        "labels_extended" -> perQuery(stats.labelsExtended), "exact_dists" -> perQuery(stats.exactDistances),
-        "exact_before_full" -> perQuery(stats.exactBeforeFull), "cut_by_endpoint" -> perQuery(stats.cutByEndpoint),
-        "cut_by_mbr" -> perQuery(stats.cutByMbr), "abandoned" -> perQuery(stats.abandoned),
       )
       val key = s"""{"dataset": "${spec.name}", "measure": "${measure.name}", "git": "$sha", "cores": $cores, """
-      val entry = key + figures.map { case (k, v) => s""""$k": ${fmt(v)}""" }.mkString(", ") +
+      val entry = key + (figures ++ c0 ++ prefixed).map { case (k, v) => s""""$k": ${fmt(v)}""" }.mkString(", ") +
         s""", "answer_hash": "${hash(answers)}"}"""
       println(s"LocalSearchBench ${spec.name} / ${measure.name} / git $sha / $cores cores (single-threaded ms per query; batch ms for all $nq)")
       figures.foreach { case (k, v) => println(f"  $k%-18s ${fmt(v)}%14s") }
+      println(f"  ${"per query"}%-18s ${"single"}%14s ${"batch round 1"}%14s ${"batch round 2"}%14s")
+      c0.indices.foreach { i =>
+        println(f"  ${c0(i)._1}%-18s ${fmt(c0(i)._2)}%14s ${fmt(c1(i)._2)}%14s ${fmt(c2(i)._2)}%14s")
+      }
       println(s"  answer_hash        ${hash(answers)}")
       write(Paths.get(git("rev-parse", "--show-toplevel").getOrElse(".")).resolve("BENCH_local.json"), key, entry)
     } finally pool.shutdown()
+  }
+
+  private def addTo(to: LocalSearch.Stats, from: LocalSearch.Stats): Unit = {
+    to.nodesPopped += from.nodesPopped
+    to.nodesPushed += from.nodesPushed
+    to.labelsExtended += from.labelsExtended
+    to.exactDistances += from.exactDistances
+    to.exactBeforeFull += from.exactBeforeFull
+    to.cutByEndpoint += from.cutByEndpoint
+    to.cutByMbr += from.cutByMbr
+    to.abandoned += from.abandoned
   }
 
   private def fmt(v: Double): String =

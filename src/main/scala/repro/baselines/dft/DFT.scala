@@ -59,37 +59,36 @@ object DFT {
       val sc = segParts.sparkContext
       val qB = sc.broadcast(q)
       val countsB = sc.broadcast(segCounts)
-      var result: Array[(Long, Double)] = null
-      while (result == null) {
-        val th = theta
-        val candidates = segParts
-          .flatMap { part =>
-            val hits = scala.collection.mutable.HashMap.empty[Long, Int]
-            part.tree.searchWithin(qB.value, th) { e =>
-              val t = part.tids(e)
-              hits.update(t, hits.getOrElse(t, 0) + 1)
+      try {
+        var result: Array[(Long, Double)] = null
+        while (result == null) {
+          val th = theta
+          val candidates = segParts
+            .flatMap { part =>
+              val hits = scala.collection.mutable.HashMap.empty[Long, Int]
+              part.tree.searchWithin(qB.value, th) { e =>
+                val t = part.tids(e)
+                hits.update(t, hits.getOrElse(t, 0) + 1)
+              }
+              hits.iterator
             }
-            hits.iterator
-          }
-          .reduceByKey(_ + _)
-          .filter { case (tid, cnt) => cnt == countsB.value(tid) }
-          .keys
-          .collect()
-          .toSet
+            .reduceByKey(_ + _)
+            .filter { case (tid, cnt) => cnt == countsB.value(tid) }
+            .keys
+            .collect()
+            .toSet
 
-        if (candidates.size >= k) {
-          val candB = sc.broadcast(candidates)
-          val topk = exactTopK(q, k, tid => candB.value.contains(tid))
-          candB.destroy()
-          // Pruned trajectories all have distance > θ, so the answer is only
-          // final once the k-th candidate distance is within θ.
-          if (topk.length >= k && topk(k - 1)._2 <= th) result = topk
-          else theta *= 2
-        } else theta *= 2
-      }
-      qB.destroy()
-      countsB.destroy()
-      result
+          if (candidates.size >= k) {
+            val candB = sc.broadcast(candidates)
+            val topk = try exactTopK(q, k, tid => candB.value.contains(tid)) finally candB.destroy()
+            // Pruned trajectories all have distance > θ, so the answer is only
+            // final once the k-th candidate distance is within θ.
+            if (topk.length >= k && topk(k - 1)._2 <= th) result = topk
+            else theta *= 2
+          } else theta *= 2
+        }
+        result
+      } finally { qB.destroy(); countsB.destroy() }
     }
 
     /** IS metric: segment R-trees + MBR rows + the dual-index copy. */

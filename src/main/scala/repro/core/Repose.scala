@@ -34,7 +34,8 @@ final case class ReposeConfig(
   * `Partitioner`, and constructs one RP-Trie per partition inside
   * `mapPartitions` — the `RpTrieRDD = RDD[RpTraj]` of §V-C. `query` runs the
   * best-first local search in every partition and merges the per-partition
-  * top-k on the driver with `collect`.
+  * top-k on the driver with `collect`; `queryBatch` does so twice, the
+  * second round bounded by the first (see DESIGN.md, *Two-round batches*).
   */
 object Repose {
 
@@ -52,25 +53,42 @@ object Repose {
       val cfg: ReposeConfig,
   ) extends Serializable {
 
-    /** Exact global top-k for one query trajectory. */
+    /** Exact global top-k for one query trajectory, in one Spark job: the
+      * one-round search, since a second round's job costs more than a lone
+      * query's search saves.
+      */
     def query(q: Array[Point], k: Int): Array[(Long, Double)] =
-      queryBatch(Array(q), k).head
+      batchTopK(rdd, Array(q), k)((rp, q) => LocalSearch.topK(rp.index, rp.trajs, q, k)).head
 
-    /** Exact top-k for a batch of queries in a single Spark job — every
-      * partition answers every query locally, the driver merges per query.
-      * Batching amortizes job-launch overhead across the workload, which is
-      * how a 100-query evaluation set is processed.
+    /** Exact top-k for a batch of queries in two Spark jobs. Every partition
+      * answers every query locally and the driver merges per query, twice:
+      *  - round 1 asks each partition for its top-⌈k/P⌉, P =
+      *    `cfg.numPartitions`, and merges them into the union's top-k;
+      *  - when that union holds k results, its last pair (θ, id_θ) is at or
+      *    above the global k-th pair, so round 2's top-k search starts with
+      *    it as its admission bound (`LocalSearch.topK`'s `bound`); with
+      *    fewer, round 2 runs unbounded.
+      * Round 2's merge is the answer. Batching amortizes both jobs' launch
+      * overhead across the workload, which is how a 100-query evaluation
+      * set is processed.
       *
       * Throws `IllegalArgumentException` on the driver, before any job runs,
       * when k < 1 or a query is empty or has a non-finite coordinate.
       */
-    def queryBatch(qs: Array[Array[Point]], k: Int): Array[Array[(Long, Double)]] =
-      batchTopK(rdd, qs, k)((rp, q) => LocalSearch.topK(rp.index, rp.trajs, q, k))
+    def queryBatch(qs: Array[Array[Point]], k: Int): Array[Array[(Long, Double)]] = {
+      val k1 = ((k.toLong + cfg.numPartitions - 1) / cfg.numPartitions).toInt
+      val first = batchTopK(rdd, qs, k)((rp, q) => LocalSearch.topK(rp.index, rp.trajs, q, k1))
+      val rows = batchJob(rdd, qs.zip(first.map(TopK.boundOf(k, _)))) { case (rp, (q, bound)) =>
+        LocalSearch.topK(rp.index, rp.trajs, q, k, new LocalSearch.Stats, bound)
+      }
+      mergeRows(rows, qs.length, k)
+    }
 
     /** Per-partition workload skew for a query batch: (max / mean) of the
-      * exact-distance computations each partition performs. 1.0 is perfect
-      * balance — the quantity the heterogeneous strategy optimizes (§V-B);
-      * per-query wall-clock equals the slowest partition's share.
+      * exact-distance computations each partition performs in the one-round
+      * search that `query` runs, the quantity of the paper's Table VII. 1.0
+      * is perfect balance, which the heterogeneous strategy optimizes
+      * (§V-B); per-query wall-clock equals the slowest partition's share.
       */
     def workImbalance(qs: Array[Array[Point]], k: Int): Double = {
       val perPart = batchJob(rdd, qs) { (rp, q) =>
@@ -107,15 +125,15 @@ object Repose {
   }
 
   /** The one batched-query job: broadcasts the batch, and row e of the
-    * result holds `search`'s answers to every query in element e.
+    * result holds `search`'s answers to every query in element e. The
+    * broadcast is destroyed whether or not the job succeeds.
     */
-  private[repro] def batchJob[P, R: ClassTag](rdd: RDD[P], qs: Array[Array[Point]])(
-      search: (P, Array[Point]) => R,
+  private[repro] def batchJob[P, Q: ClassTag, R: ClassTag](rdd: RDD[P], qs: Array[Q])(
+      search: (P, Q) => R,
   ): Array[Array[R]] = {
     val qB = rdd.sparkContext.broadcast(qs)
-    val rows = rdd.map(p => qB.value.map(search(p, _))).collect()
-    qB.destroy()
-    rows
+    try rdd.map(p => qB.value.map(search(p, _))).collect()
+    finally qB.destroy()
   }
 
   /** Exact top-k per query: validates the batch on the driver, runs
@@ -125,9 +143,12 @@ object Repose {
       search: (P, Array[Point]) => Array[(Long, Double)],
   ): Array[Array[(Long, Double)]] = {
     requireQueries(qs, k)
-    val rows = batchJob(rdd, qs)(search)
-    Array.tabulate(qs.length)(qi => TopK.merge(k, rows.iterator.map(_(qi))))
+    mergeRows(batchJob(rdd, qs)(search), qs.length, k)
   }
+
+  /** Top-k of each of `n` queries over `batchJob`'s rows. */
+  private def mergeRows(rows: Array[Array[Array[(Long, Double)]]], n: Int, k: Int) =
+    Array.tabulate(n)(qi => TopK.merge(k, rows.iterator.map(_(qi))))
 
   /** MBR of the dataset, in one pass that also throws `IllegalArgumentException`
     * on the driver if a trajectory is empty or has a non-finite coordinate.

@@ -18,9 +18,10 @@ import repro.core.rptrie.RPTrie
   * extends only its children's first labels. `LB_p` is per node.
   * Each entry owns its bound column (`Column`), so a popped entry extends
   * its run in place; each child is extended into a new column.
-  * Once the heap holds k, a trajectory that passes `LB_t` goes through the
-  * measure's per-trajectory cascade (`BoundsOps.cascade`) and then its exact
-  * kernel bounded by `d_k` (`Measure.distWithin`).
+  * Once `d_k` is finite (the heap holds k, or the search was given a
+  * bound), a trajectory that passes `LB_t` goes through the measure's
+  * per-trajectory cascade (`BoundsOps.cascade`) and then its exact kernel
+  * bounded by `d_k` (`Measure.distWithin`).
   * Ties go by id: a node bound equal to `d_k` cuts nothing, a trajectory
   * with `LB_t = d_k` is still evaluated when its id is below the k-th id,
   * and a kernel stops early only above `d_k`.
@@ -60,6 +61,12 @@ object LocalSearch {
   /** Exact top-k of `q` among `trajs` under `trie.measure`. Returns at most
     * k (trajectoryId, distance) pairs sorted by (distance, id): the first k
     * of a brute-force scan in that order, ties included.
+    *
+    * With a `bound` (θ, id_θ), the heap starts with it as its admission
+    * bound (`TopK`): d_k is θ from the first pop, so the cascade and the
+    * bounded kernel run from the first evaluation. The result is then the
+    * first k of the brute-force pairs ≤ (θ, id_θ), which is the top-k itself
+    * whenever (θ, id_θ) is at or above the brute-force k-th pair.
     */
   def topK(
       trie: RPTrie,
@@ -67,6 +74,7 @@ object LocalSearch {
       q: Array[Point],
       k: Int,
       stats: Stats = new Stats,
+      bound: (Double, Long) = TopK.Unbounded,
   ): Array[(Long, Double)] = {
     if (k <= 0 || trajs.isEmpty) return Array.empty
     val measure = trie.measure
@@ -74,7 +82,7 @@ object LocalSearch {
     val np = trie.pivots.length
     val dqp = trie.pivots.map(p => measure.dist(q, p))
 
-    val best = new TopK(k)
+    val best = new TopK(k, bound)
 
     // Pivot bound for a node (both triangle directions, deviation-corrected).
     def pivotLB(v: Int): Double = {
@@ -92,7 +100,7 @@ object LocalSearch {
     // An `LB_t` survivor: exact while d_k = +∞, else the cascade and then
     // the kernel bounded by d_k.
     def evaluate(t: Trajectory): Unit =
-      if (!best.full) {
+      if (best.dk == Double.PositiveInfinity) {
         stats.exactDistances += 1
         stats.exactBeforeFull += 1
         best.offer(t.id, measure.dist(q, t.points))

@@ -5,21 +5,27 @@ import scala.collection.mutable
 /** The k smallest results seen so far in the one total order every search
   * uses, (distance, id). Answers are therefore the brute-force top-k element
   * for element, whatever the visit order, partitioning or partition count.
+  *
+  * `bound` = (θ, id_θ) is an admission bound known before the search: a pair
+  * is admitted only if it is ≤ (θ, id_θ), and `dk` is θ until k results are
+  * held. Started at a pair ≥ the k-th smallest of all pairs, the heap ends
+  * with the same k results as an unbounded one; started below it, with every
+  * pair ≤ (θ, id_θ). The default, (+∞, `Long.MaxValue`), bounds nothing.
   */
-final class TopK(k: Int) {
+final class TopK(k: Int, bound: (Double, Long) = TopK.Unbounded) {
   require(k >= 1, s"k must be at least 1, got $k")
   // A max-heap: once k results are held, its head is the k-th.
   private val heap = mutable.PriorityQueue.empty[(Double, Long)](TopK.order)
+  private val theta = bound._1
+  private val thetaId = bound._2
 
-  /** Whether k results are held, so that `dk` is the k-th distance. */
-  def full: Boolean = heap.size == k
-
-  /** d_k: the k-th distance, or +∞ while fewer than k results are held. */
-  def dk: Double = if (heap.size < k) Double.PositiveInfinity else heap.head._1
+  /** d_k: the k-th distance, or θ while fewer than k results are held. */
+  def dk: Double = if (heap.size < k) theta else heap.head._1
 
   /** Whether (d, id) would enter now; for a lower bound d, whether the exact distance can. */
   def admits(d: Double, id: Long): Boolean =
-    heap.size < k || { val h = heap.head; TopK.compare(d, id, h._1, h._2) < 0 }
+    if (heap.size < k) TopK.compare(d, id, theta, thetaId) <= 0
+    else { val h = heap.head; TopK.compare(d, id, h._1, h._2) < 0 }
 
   def offer(id: Long, d: Double): Unit =
     if (admits(d, id)) { if (heap.size == k) heap.dequeue(); heap.enqueue((d, id)) }
@@ -30,6 +36,9 @@ final class TopK(k: Int) {
 }
 
 object TopK {
+  /** The admission bound that admits every pair with a non-NaN distance. */
+  val Unbounded: (Double, Long) = (Double.PositiveInfinity, Long.MaxValue)
+
   /** (distance, id) order: `java.lang.Double.compare` (−0.0 < 0.0, NaN
     * last), then id. Compares primitives, without boxing.
     */
@@ -48,4 +57,10 @@ object TopK {
     lists.iterator.foreach(_.foreach { case (id, d) => top.offer(id, d) })
     top.result
   }
+
+  /** The admission bound a merged top-k gives: its last pair as (θ, id_θ)
+    * when it holds k results, else `Unbounded`.
+    */
+  def boundOf(k: Int, top: Array[(Long, Double)]): (Double, Long) =
+    if (top.length < k) Unbounded else (top(k - 1)._2, top(k - 1)._1)
 }

@@ -225,6 +225,33 @@ class ReposeSuite extends SparkSpec {
     }
   }
 
+  test("queryBatch runs 2 Spark jobs and query runs 1") {
+    val idx = Repose.build(spark, rdd, Hausdorff, ReposeConfig(delta = 1.0, numPartitions = 6))
+    try {
+      val qs = Array(TestUtils.randomQuery(8, seed = 353L), TestUtils.randomQuery(6, seed = 359L))
+      assert(jobsRunBy(idx.queryBatch(qs, 10)) == 2)
+      assert(jobsRunBy(idx.query(qs(0), 10)) == 1)
+    } finally idx.unpersist()
+  }
+
+  // Ten trajectories over 24 partitions, so most partitions are empty. Round 1
+  // asks each for ⌈k/24⌉ = 1 result, and its union may hold fewer than k;
+  // at k = 14 the whole dataset does, so round 2 runs unbounded.
+  for (st <- Seq(Heterogeneous, Homogeneous)) {
+    test(s"queryBatch is exact when round 1 finds fewer than k (${st.name})") {
+      val few = TestUtils.randomTrajs(10, maxLen = 14, seed = 367L)
+      val data = spark.sparkContext.parallelize(few.toIndexedSeq, 3)
+      val idx = Repose.build(spark, data, Frechet,
+        ReposeConfig(delta = 1.0, numPartitions = 24, strategy = st))
+      try {
+        val qs = Array(TestUtils.randomQuery(8, seed = 373L), few(4).points)
+        for (k <- Seq(1, 5, 9, 10, 14)) qs.zip(idx.queryBatch(qs, k)).foreach { case (q, got) =>
+          TestUtils.assertTopKEqual(got, TestUtils.bruteTopK(few, q, k, Frechet), few, q, Frechet)
+        }
+      } finally idx.unpersist()
+    }
+  }
+
   test("LS queryBatch matches brute force per query") {
     val idx = LinearSearch.build(rdd, Frechet, 5)
     try {

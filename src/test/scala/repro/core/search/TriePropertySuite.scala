@@ -12,8 +12,8 @@ import repro.core.rptrie.RPTrie
 /** Property tests over random data: for every measure and trie variant, the
   * path-compressed trie's runs are maximal and spell every trajectory's
   * reference sequence (or set), its children and ids read back consistently,
-  * and the search over it returns the brute-force top-k. Fine grids make the
-  * runs long.
+  * and the search over it returns the brute-force top-k, also when it starts
+  * from an admission bound (θ, id_θ). Fine grids make the runs long.
   */
 class TriePropertySuite extends AnyFunSuite {
 
@@ -102,6 +102,35 @@ class TriePropertySuite extends AnyFunSuite {
           TestUtils.bruteTopK(trajs, q, k, m), trajs, q, m)
         true
       }, seed)
+    }
+  }
+
+  /** `cases` with an admission bound: the (distance, id) pair at `pick`
+    * (modulo the data size) of the brute-force order, its id moved by `off`
+    * (±1 steps across a tied pair's ids; the extremes pass above or below
+    * every id at that distance).
+    */
+  private val boundCases = for {
+    c <- cases
+    pick <- Gen.choose(0, 1000)
+    off <- Gen.oneOf(-1L, 0L, 1L, Long.MinValue, Long.MaxValue)
+  } yield (c, pick, off)
+
+  for (m <- measures; optimized <- Seq(false, true)) {
+    test(s"search from an admission bound returns the brute-force pairs up to it: ${m.name} optimized=$optimized") {
+      check(Prop.forAll(boundCases) { case ((trajs, q, k, delta), pick, off) =>
+        val grid = ZGrid.fit(MBR(0, 0, 10, 10), delta)
+        val trie = TestUtils.trie(trajs, grid, m, np = 3, optimized = optimized)
+        val all = TestUtils.bruteTopK(trajs, q, trajs.length, m)
+        val (id, d) = all(pick % all.length)
+        val thetaId = if (off == Long.MinValue || off == Long.MaxValue) off else id + off
+        val upTo = all.filter { case (i, di) => TopK.order.lteq((di, i), (d, thetaId)) }
+        val got = LocalSearch.topK(trie, trajs, q, k, new LocalSearch.Stats, (d, thetaId))
+        TestUtils.assertTopKEqual(got, upTo.take(k), trajs, q, m)
+        // At or above the brute-force k-th pair, the bound changes nothing.
+        if (upTo.length >= k) TestUtils.assertTopKEqual(got, all.take(k), trajs, q, m)
+        true
+      }, 45L)
     }
   }
 }
