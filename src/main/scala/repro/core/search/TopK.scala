@@ -10,7 +10,7 @@ import scala.collection.mutable
   * is admitted only if it is ≤ (θ, id_θ), and `dk` is θ until k results are
   * held. Started at a pair ≥ the k-th smallest of all pairs, the heap ends
   * with the same k results as an unbounded one; started below it, with every
-  * pair ≤ (θ, id_θ). The default, (+∞, `Long.MaxValue`), bounds nothing.
+  * pair ≤ (θ, id_θ). The default, `TopK.Unbounded`, bounds nothing.
   */
 final class TopK(k: Int, bound: (Double, Long) = TopK.Unbounded) {
   require(k >= 1, s"k must be at least 1, got $k")
@@ -18,13 +18,15 @@ final class TopK(k: Int, bound: (Double, Long) = TopK.Unbounded) {
   private val heap = mutable.PriorityQueue.empty[(Double, Long)](TopK.order)
   private val theta = bound._1
   private val thetaId = bound._2
+  // Unbounded, every pair enters until k are held, NaN distances included.
+  private val bounded = bound != TopK.Unbounded
 
   /** d_k: the k-th distance, or θ while fewer than k results are held. */
   def dk: Double = if (heap.size < k) theta else heap.head._1
 
   /** Whether (d, id) would enter now; for a lower bound d, whether the exact distance can. */
   def admits(d: Double, id: Long): Boolean =
-    if (heap.size < k) TopK.compare(d, id, theta, thetaId) <= 0
+    if (heap.size < k) !bounded || TopK.compare(d, id, theta, thetaId) <= 0
     else { val h = heap.head; TopK.compare(d, id, h._1, h._2) < 0 }
 
   def offer(id: Long, d: Double): Unit =
@@ -36,7 +38,7 @@ final class TopK(k: Int, bound: (Double, Long) = TopK.Unbounded) {
 }
 
 object TopK {
-  /** The admission bound that admits every pair with a non-NaN distance. */
+  /** The admission bound that bounds nothing: (+∞, `Long.MaxValue`). */
   val Unbounded: (Double, Long) = (Double.PositiveInfinity, Long.MaxValue)
 
   /** (distance, id) order: `java.lang.Double.compare` (−0.0 < 0.0, NaN
