@@ -24,6 +24,8 @@ object Harness {
   /** Default scaled query count and k (paper: 100 queries, k = 100). */
   val QueryCount = 10
   val K = 50
+  /** Spark partitions of every dataset and index. */
+  private val Partitions = 16
 
   def timeSec[A](f: => A): (A, Double) = {
     val t0 = System.nanoTime()
@@ -34,9 +36,9 @@ object Harness {
   private val cache = scala.collection.mutable.HashMap.empty[String, RDD[Trajectory]]
 
   /** Dataset RDD, generated once per spec and cached in memory. */
-  def dataset(spark: SparkSession, spec: TrajGen.Spec, partitions: Int = 16): RDD[Trajectory] =
+  def dataset(spark: SparkSession, spec: TrajGen.Spec): RDD[Trajectory] =
     cache.getOrElseUpdate(spec.name, {
-      val rdd = TrajGen.generate(spark, spec, partitions).persist(StorageLevel.MEMORY_ONLY)
+      val rdd = TrajGen.generate(spark, spec, Partitions).persist(StorageLevel.MEMORY_ONLY)
       rdd.count()
       rdd
     })
@@ -55,14 +57,11 @@ object Harness {
       k: Int = K,
       delta: Double = Double.NaN,
       np: Int = 5,
-      partitions: Int = 16,
       strategy: PartitionStrategy = Heterogeneous,
-      optimized: Boolean = true,
   ): (Cell, Double) = {
     val d = if (delta.isNaN) Datasets.delta(spec, measure) else delta
     val trajs = dataset(spark, spec)
-    val cfg = ReposeConfig(delta = d, np = np, numPartitions = partitions,
-      strategy = strategy, optimizedTrie = optimized)
+    val cfg = ReposeConfig(delta = d, np = np, numPartitions = Partitions, strategy = strategy)
     val (idx, it) = timeSec(Repose.build(spark, trajs, measure, cfg))
     val isBytes = idx.indexBytes
     // Untimed warm-up (JIT + code shipping), then one batched job for the
@@ -75,34 +74,17 @@ object Harness {
     (Cell(qt / queries.length, mb(isBytes), it), imbalance)
   }
 
-  def runRepose(
-      spark: SparkSession,
-      spec: TrajGen.Spec,
-      measure: Measure,
-      queries: Array[Trajectory],
-      k: Int = K,
-      delta: Double = Double.NaN,
-      np: Int = 5,
-      partitions: Int = 16,
-      strategy: PartitionStrategy = Heterogeneous,
-      optimized: Boolean = true,
-  ): Cell =
-    runReposeFull(spark, spec, measure, queries, k, delta, np, partitions,
-      strategy, optimized)._1
-
   /** LS: no index — IS and IT are "/" (NaN). */
   def runLS(
       spark: SparkSession,
       spec: TrajGen.Spec,
       measure: Measure,
       queries: Array[Trajectory],
-      k: Int = K,
-      partitions: Int = 16,
   ): Cell = {
     val trajs = dataset(spark, spec)
-    val idx = LinearSearch.build(trajs, measure, partitions, RandomPartitioning)
-    idx.queryBatch(queries.take(2).map(_.points), k)
-    val (_, qt) = timeSec(idx.queryBatch(queries.map(_.points), k))
+    val idx = LinearSearch.build(trajs, measure, Partitions, RandomPartitioning)
+    idx.queryBatch(queries.take(2).map(_.points), K)
+    val (_, qt) = timeSec(idx.queryBatch(queries.map(_.points), K))
     idx.unpersist()
     Cell(qt / queries.length, Double.NaN, Double.NaN)
   }
@@ -112,15 +94,13 @@ object Harness {
       spec: TrajGen.Spec,
       measure: Measure,
       queries: Array[Trajectory],
-      k: Int = K,
-      partitions: Int = 16,
       roundRobin: Boolean = false,
   ): Cell = {
     val trajs = dataset(spark, spec)
-    val (idx, it) = timeSec(DFT.build(trajs, measure, partitions, heterogeneous = roundRobin))
+    val (idx, it) = timeSec(DFT.build(trajs, measure, Partitions, heterogeneous = roundRobin))
     val isBytes = idx.indexBytes
-    idx.query(queries.head.points, k) // warm-up
-    val (_, qt) = timeSec(queries.foreach(q => idx.query(q.points, k)))
+    idx.query(queries.head.points, K) // warm-up
+    val (_, qt) = timeSec(queries.foreach(q => idx.query(q.points, K)))
     idx.unpersist()
     Cell(qt / queries.length, mb(isBytes), it)
   }
@@ -131,16 +111,14 @@ object Harness {
       spec: TrajGen.Spec,
       measure: Measure,
       queries: Array[Trajectory],
-      k: Int = K,
-      partitions: Int = 16,
       roundRobin: Boolean = false,
   ): Option[Cell] = {
     if (measure == Hausdorff) return None
     val trajs = dataset(spark, spec)
-    val (idx, it) = timeSec(DITA.build(trajs, measure, partitions, roundRobin = roundRobin))
+    val (idx, it) = timeSec(DITA.build(trajs, measure, Partitions, roundRobin = roundRobin))
     val isBytes = idx.indexBytes
-    idx.query(queries.head.points, k) // warm-up
-    val (_, qt) = timeSec(queries.foreach(q => idx.query(q.points, k)))
+    idx.query(queries.head.points, K) // warm-up
+    val (_, qt) = timeSec(queries.foreach(q => idx.query(q.points, K)))
     idx.unpersist()
     Some(Cell(qt / queries.length, mb(isBytes), it))
   }

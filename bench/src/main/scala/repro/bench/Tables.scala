@@ -30,18 +30,18 @@ object Tables {
     rows
   }
 
-  /** Table IV: QT/IS/IT × {Hausdorff, Fréchet, DTW} × 4 algorithms × datasets.
-    * `measures` allows running one distance slice at a time.
+  /** Table IV: QT/IS/IT × {Hausdorff, Fréchet, DTW} × 4 algorithms × all
+    * seven datasets. `measures` allows running one distance slice at a time.
     */
   def tableIV(
       spark: SparkSession,
-      specs: Seq[TrajGen.Spec] = Datasets.all,
       measures: Seq[Measure] = Datasets.tableMeasures,
   ): Map[(String, String, String), Cell] = {
+    val specs = Datasets.all
     val out = scala.collection.mutable.LinkedHashMap.empty[(String, String, String), Cell]
     for (measure <- measures; spec <- specs) {
       val qs = queriesFor(spec)
-      out((measure.name, "REPOSE", spec.name)) = runRepose(spark, spec, measure, qs)
+      out((measure.name, "REPOSE", spec.name)) = runReposeFull(spark, spec, measure, qs)._1
       out((measure.name, "DITA", spec.name)) =
         runDITA(spark, spec, measure, qs).getOrElse(Cell(Double.NaN, Double.NaN, Double.NaN))
       out((measure.name, "DFT", spec.name)) = runDFT(spark, spec, measure, qs)
@@ -76,7 +76,7 @@ object Tables {
     val out = scala.collection.mutable.LinkedHashMap.empty[(String, Double, String), Double]
     for ((spec, deltas) <- sweeps; measure <- Seq[Measure](Hausdorff, Frechet); d <- deltas) {
       val qs = queriesFor(spec)
-      val cell = runRepose(spark, spec, measure, qs, delta = d)
+      val cell = runReposeFull(spark, spec, measure, qs, delta = d)._1
       out((spec.name, d, measure.name)) = cell.qt
     }
     for ((spec, deltas) <- sweeps) {
@@ -95,7 +95,7 @@ object Tables {
     val out = scala.collection.mutable.LinkedHashMap.empty[(String, Int, String), Double]
     for (spec <- specs; measure <- Seq[Measure](Hausdorff, Frechet); np <- nps) {
       val qs = queriesFor(spec)
-      val cell = runRepose(spark, spec, measure, qs, np = np)
+      val cell = runReposeFull(spark, spec, measure, qs, np = np)._1
       out((spec.name, np, measure.name)) = cell.qt
     }
     for (spec <- specs) {
@@ -145,7 +145,7 @@ object Tables {
     val out = scala.collection.mutable.LinkedHashMap.empty[(String, String, String), Double]
     for (measure <- Seq[Measure](DTW, Frechet); spec <- specs) {
       val qs = queriesFor(spec)
-      out((measure.name, "REPOSE", spec.name)) = runRepose(spark, spec, measure, qs).qt
+      out((measure.name, "REPOSE", spec.name)) = runReposeFull(spark, spec, measure, qs)._1.qt
       out((measure.name, "Heter-DITA", spec.name)) =
         runDITA(spark, spec, measure, qs, roundRobin = true).get.qt
       out((measure.name, "DITA", spec.name)) =
@@ -166,7 +166,7 @@ object Tables {
     val out = scala.collection.mutable.LinkedHashMap.empty[(String, String, String), Double]
     for (measure <- Seq[Measure](Hausdorff, Frechet); spec <- specs) {
       val qs = queriesFor(spec)
-      out((measure.name, "REPOSE", spec.name)) = runRepose(spark, spec, measure, qs).qt
+      out((measure.name, "REPOSE", spec.name)) = runReposeFull(spark, spec, measure, qs)._1.qt
       out((measure.name, "Heter-DFT", spec.name)) =
         runDFT(spark, spec, measure, qs, roundRobin = true).qt
       out((measure.name, "DFT", spec.name)) = runDFT(spark, spec, measure, qs).qt

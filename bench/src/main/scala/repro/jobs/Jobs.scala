@@ -4,10 +4,10 @@ import org.apache.spark.sql.SparkSession
 
 import repro.bench.Tables
 
-/** spark-submit entrypoints, one per reproduced evaluation table:
+/** Entrypoints, one per reproduced evaluation table:
   *
   * {{{
-  * spark-submit --class repro.jobs.TableIV target/scala-2.13/repro_2.13-*.jar
+  * sbt "bench/runMain repro.jobs.TableIV"
   * }}}
   *
   * Each prints the table in the paper's layout to stdout (see EXPERIMENTS.md

@@ -35,13 +35,14 @@ import repro.data.{Datasets, TrajGen}
   *    again.
   * Each mode makes one untimed warm pass and then 5 timed ones. It prints
   * the figures and `LocalSearch.Stats` per query: the single-threaded
-  * (one-round) search's, then each batch round's (`r1_`, `r2_`); and
-  * replaces this
-  * (dataset, measure, git SHA, cores) entry of
-  * `BENCH_local.json` at the top of the checkout, one entry per line; the
-  * SHA reads `+dirty` when `src/` differs from that commit. The
-  * answer hash covers every id and distance bit, so two commits that search
-  * alike print the same hash and the same counters.
+  * (one-round) search's, then each batch round's (`r1_`, `r2_`). It appends
+  * one entry to `BENCH_local.json` at the top of the checkout, one entry per
+  * line, keyed by (dataset, measure, git SHA, cores); the SHA reads `+dirty`
+  * when `src/` differs from that commit. One run is one draw of timings
+  * that spread ±20% at one commit, so it then prints the median and
+  * quartiles of `single_ms_p50` and `batch_ms_p50` over every entry of its
+  * key. The answer hash covers every id and distance bit, so two commits
+  * that search alike print the same hash and the same counters.
   */
 object LocalSearchBench {
 
@@ -193,7 +194,12 @@ object LocalSearchBench {
         println(f"  ${c0(i)._1}%-18s ${fmt(c0(i)._2)}%14s ${fmt(c1(i)._2)}%14s ${fmt(c2(i)._2)}%14s")
       }
       println(s"  answer_hash        ${hash(answers)}")
-      write(Paths.get(git("rev-parse", "--show-toplevel").getOrElse(".")).resolve("BENCH_local.json"), key, entry)
+      val runs = append(Paths.get(git("rev-parse", "--show-toplevel").getOrElse(".")).resolve("BENCH_local.json"), key, entry)
+      println(s"  over the ${runs.length} entries of this key: median [q1, q3]")
+      for (name <- Seq("single_ms_p50", "batch_ms_p50")) {
+        val xs = runs.map(e => s""""$name": ([^,}]+)""".r.findFirstMatchIn(e).get.group(1).toDouble)
+        println(f"  $name%-18s ${fmt(median(xs))}%14s [${fmt(percentile(xs, 25))}, ${fmt(percentile(xs, 75))}]")
+      }
     } finally pool.shutdown()
   }
 
@@ -211,11 +217,14 @@ object LocalSearchBench {
   private def fmt(v: Double): String =
     if (v == math.rint(v) && math.abs(v) < 1e15) v.toLong.toString else f"$v%.3f"
 
-  /** Replaces the entry starting with `key` in the one-entry-per-line array. */
-  private def write(file: Path, key: String, entry: String): Unit = {
+  /** Appends `entry` to the one-entry-per-line array and returns the
+    * entries that start with `key`, `entry` last.
+    */
+  private def append(file: Path, key: String, entry: String): Seq[String] = {
     val old = if (Files.exists(file)) Files.readAllLines(file, StandardCharsets.UTF_8).asScala.toSeq else Nil
-    val entries = old.map(_.trim.stripSuffix(",")).filter(_.startsWith("{")).filterNot(_.startsWith(key)) :+ entry
+    val entries = old.map(_.trim.stripSuffix(",")).filter(_.startsWith("{")) :+ entry
     Files.write(file, entries.mkString("[\n", ",\n", "\n]\n").getBytes(StandardCharsets.UTF_8))
     println(s"  wrote $file")
+    entries.filter(_.startsWith(key))
   }
 }

@@ -23,6 +23,13 @@ import repro.core.search.TopK
   */
 object DFT {
 
+  /** C of the C·k threshold sample, and the seed that draws it. */
+  private final val C = 5
+  private final val QuerySeed = 7L
+  /** Size and seed of the build-time pool the threshold sample comes from. */
+  private final val SamplePoolSize = 2000
+  private final val SampleSeed = 11L
+
   /** Per-partition segment index: packed R-tree + (tid, segment MBR) rows. */
   final case class SegPart(tree: RTree, tids: Array[Long], mbrs: Array[MBR])
 
@@ -47,11 +54,11 @@ object DFT {
     /** Exact top-k via threshold candidates + dual-index refinement; rejects
       * bad input on the driver like `Repose.Index.query`.
       */
-    def query(q: Array[Point], k: Int, c: Int = 5, seed: Long = 7L): Array[(Long, Double)] = {
+    def query(q: Array[Point], k: Int): Array[(Long, Double)] = {
       Repose.requireQueries(Array(q), k)
       if (k >= segCounts.size) return exactTopK(q, k, _ => true) // evaluate all
-      val rnd = new Random(seed)
-      val sample = rnd.shuffle(samplePool.toVector).take(math.max(c * k, k)).toArray
+      val rnd = new Random(QuerySeed)
+      val sample = rnd.shuffle(samplePool.toVector).take(C * k).toArray
       val sampleDists = sample.map(t => measure.dist(q, t.points)).sorted
       var theta = sampleDists(math.min(k - 1, sampleDists.length - 1))
       if (theta <= 0.0) theta = 1e-12
@@ -120,8 +127,6 @@ object DFT {
       measure: Measure,
       numPartitions: Int,
       heterogeneous: Boolean = false,
-      samplePoolSize: Int = 2000,
-      seed: Long = 11L,
   ): Index = {
     val mbr = Repose.datasetMbr(trajs)
     val u = math.max(math.max(mbr.width, mbr.height), 1e-9)
@@ -183,7 +188,7 @@ object DFT {
     dual.count()
 
     val samplePool = trajs.takeSample(withReplacement = false,
-      math.min(samplePoolSize, segCounts.size), seed)
+      math.min(SamplePoolSize, segCounts.size), SampleSeed)
 
     new Index(segParts, dual, segCounts, samplePool, measure)
   }

@@ -10,7 +10,7 @@ import repro.core.search.TopK
 
 /** DITA baseline (Shang, Li, Bao — SIGMOD'18), simplified per §VII-A / §VIII:
   * each trajectory is represented by its first point, last point, and up to
-  * `nl` high-neighbor-distance pivot points; the local index is a two-level
+  * N_L = 32 high-neighbor-distance pivot points; the local index is a two-level
   * trie (first-point cell → last-point cell) whose leaves hold per-trajectory
   * entries with the pivot MBR. Global partitioning groups trajectories with
   * close first/last points (homogeneous); Heter-DITA (Table VIII) deals the
@@ -26,6 +26,20 @@ import repro.core.search.TopK
   * as in the paper.
   */
 object DITA {
+
+  // Constant `final val`s are inlined, so the build closures that read them
+  // do not capture this (unserializable) object.
+
+  /** N_L, the pivot points per trajectory (§VII-A). */
+  private final val NL = 32
+  /** Grid cells per side of the first/last-point trie levels. */
+  private final val CellsPerSide = 32
+  /** C of the C·k threshold sample, and the seed that draws it. */
+  private final val C = 5
+  private final val QuerySeed = 7L
+  /** Size and seed of the build-time pool the threshold sample comes from. */
+  private final val SamplePoolSize = 2000
+  private final val SampleSeed = 11L
 
   final case class Entry(tid: Int, first: Point, last: Point, pmbr: MBR, len: Int)
   final case class Node2(lastMbr: MBR, entries: Array[Entry])
@@ -87,17 +101,17 @@ object DITA {
     }
 
     /** Exact top-k; rejects bad input on the driver like `Repose.Index.query`. */
-    def query(q: Array[Point], k: Int, c: Int = 5, seed: Long = 7L): Array[(Long, Double)] = {
+    def query(q: Array[Point], k: Int): Array[(Long, Double)] = {
       Repose.requireQueries(Array(q), k)
       if (k >= total) return refine(q, Double.MaxValue, k)
-      val rnd = new Random(seed)
-      val sample = rnd.shuffle(samplePool.toVector).take(math.max(c * k, k)).toArray
+      val rnd = new Random(QuerySeed)
+      val sample = rnd.shuffle(samplePool.toVector).take(C * k).toArray
       val dists = sample.map(t => measure.dist(q, t.points)).sorted
       // Halve while the index still reports more than C·k candidates and the
       // halved threshold keeps at least k; each step runs one count.
       @annotation.tailrec
       def halve(theta: Double, cnt: Long): Double =
-        if (cnt <= c.toLong * k) theta
+        if (cnt <= C.toLong * k) theta
         else {
           val half = count(q, theta / 2)
           if (half >= k) halve(theta / 2, half) else theta
@@ -123,14 +137,14 @@ object DITA {
     def unpersist(): Unit = parts.unpersist(blocking = true)
   }
 
-  /** Neighbor-distance pivot selection (§VII-A parameters: N_L = 32). */
-  private def pivotMbr(t: Trajectory, nl: Int): MBR = {
+  /** Neighbor-distance pivot selection. */
+  private def pivotMbr(t: Trajectory): MBR = {
     val pts = t.points
-    if (pts.length <= nl) MBR(pts)
+    if (pts.length <= NL) MBR(pts)
     else {
       val scored = (1 until pts.length - 1).map { i =>
         (pts(i - 1).dist(pts(i)) + pts(i).dist(pts(i + 1)), i)
-      }.sorted.reverse.take(nl - 2).map(s => pts(s._2))
+      }.sorted.reverse.take(NL - 2).map(s => pts(s._2))
       MBR((scored :+ pts.head :+ pts.last).toArray)
     }
   }
@@ -142,20 +156,16 @@ object DITA {
       trajs: RDD[Trajectory],
       measure: Measure,
       numPartitions: Int,
-      nl: Int = 32,
       roundRobin: Boolean = false,
-      cellsPerSide: Int = 32,
-      samplePoolSize: Int = 2000,
-      seed: Long = 11L,
   ): Index = {
     require(measure == Frechet || measure == DTW,
       s"DITA does not support ${measure.name} (first/last-point bounds need order sensitivity)")
     val mbr = Repose.datasetMbr(trajs)
     val u = math.max(math.max(mbr.width, mbr.height), 1e-9)
     def cell(p: Point): Int = {
-      val cx = math.min(cellsPerSide - 1, math.max(0, ((p.x - mbr.minX) / u * cellsPerSide).toInt))
-      val cy = math.min(cellsPerSide - 1, math.max(0, ((p.y - mbr.minY) / u * cellsPerSide).toInt))
-      cx * cellsPerSide + cy
+      val cx = math.min(CellsPerSide - 1, math.max(0, ((p.x - mbr.minX) / u * CellsPerSide).toInt))
+      val cy = math.min(CellsPerSide - 1, math.max(0, ((p.y - mbr.minY) / u * CellsPerSide).toInt))
+      cx * CellsPerSide + cy
     }
 
     // The ids' collect counts the data and rejects a repeated id.
@@ -171,7 +181,6 @@ object DITA {
         else math.min(numPartitions - 1, (idx * numPartitions / math.max(total, 1L)).toInt)
       (pid, t)
     }
-    val nl0 = nl
     val parts = assigned
       .partitionBy(new IdPartitioner(numPartitions))
       .values
@@ -181,7 +190,7 @@ object DITA {
         else {
           val entries = arr.zipWithIndex.map { case (t, i) =>
             (cell(t.points.head), cell(t.points.last),
-             Entry(i, t.points.head, t.points.last, pivotMbr(t, nl0), t.length))
+             Entry(i, t.points.head, t.points.last, pivotMbr(t), t.length))
           }
           val roots = entries
             .groupBy(_._1)
@@ -202,7 +211,7 @@ object DITA {
       .persist(StorageLevel.MEMORY_ONLY)
     parts.count()
     val samplePool = trajs.takeSample(withReplacement = false,
-      math.min(samplePoolSize, total).toInt, seed)
+      math.min(SamplePoolSize, total).toInt, SampleSeed)
     new Index(parts, measure, samplePool, total)
   }
 }

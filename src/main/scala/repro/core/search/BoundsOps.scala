@@ -31,8 +31,9 @@ class Column(val arr: Array[Double]) {
 /** Per-measure incremental bound computations for a fixed query (§IV, §VI).
   *
   * Instances are created per (query, grid) pair and used for a whole local
-  * search. `monotone` marks measures whose `LB_o` is non-decreasing along
-  * trie paths (Lemmas 2–4), which licenses best-first early termination.
+  * search. Every measure's `LB_o` is non-decreasing along trie paths
+  * (Lemmas 2–4; LCSS and EDR write 0 at every label), which licenses
+  * best-first early termination.
   *
   * Each measure has one kernel, `extendInto`, the O(m) `CompLB` of
   * Algorithm 1. It reads the parent column and writes the child's into a
@@ -60,8 +61,6 @@ sealed trait BoundsOps {
     */
   def leafTidLB(refCore: Double, dmax: Double, n: Int): Double =
     math.max(refCore - dmax, 0.0)
-  /** Whether lbO grows monotonically down the trie (early-break soundness). */
-  def monotone: Boolean = true
   /** Tests trajectory `t` with id `id` against this measure's per-trajectory
     * bounds, cheapest first, each with `best.admits`. Returns `Admitted`, or
     * the bound that cut `t`. None applies by default.
@@ -285,8 +284,8 @@ final class ERPOps(val q: Array[Point], val grid: ZGrid, g: Point) extends Bound
 /** LCSS distance 1 − LCSS/min(m, n): the column holds an *upper* bound on the
   * match count against any trajectory whose reference prefix is the current
   * path (cell-feasible matches, rows strictly increasing, columns reusable to
-  * absorb duplicate-cell collapse). Internal pruning is disabled (lbO = 0,
-  * non-monotone); leaves convert the match bound into a distance lower bound
+  * absorb duplicate-cell collapse). Internal pruning is disabled (lbO = 0);
+  * leaves convert the match bound into a distance lower bound
   * per trajectory length.
   */
 final class LCSSOps(val q: Array[Point], val grid: ZGrid, eps: Double) extends BoundsOps {
@@ -313,7 +312,6 @@ final class LCSSOps(val q: Array[Point], val grid: ZGrid, eps: Double) extends B
     val denom = math.min(m, n).toDouble
     1.0 - math.min(refCore, denom) / denom
   }
-  override def monotone: Boolean = false
 }
 
 /** EDR: DP column of edit-cost under-estimates — cell-feasible matches cost
@@ -353,5 +351,4 @@ final class EDROps(val q: Array[Point], val grid: ZGrid, eps: Double) extends Bo
   }
   override def leafTidLB(refCore: Double, dmax: Double, n: Int): Double =
     math.max(refCore, math.abs(m - n).toDouble)
-  override def monotone: Boolean = false
 }

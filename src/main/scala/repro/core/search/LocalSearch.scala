@@ -8,8 +8,9 @@ import repro.core.rptrie.RPTrie
 /** Best-first top-k search over an RP-Trie (§IV, Algorithm 2).
   *
   * The search visits the per-label trie's nodes in ascending `LB_o` order.
-  * For measures with monotone `LB_o` (Lemmas 2–4) it terminates as soon as
-  * the popped bound exceeds the current k-th distance `d_k`. `LB_p` (pivot
+  * `LB_o` never decreases down the trie (Lemmas 2–4; LCSS and EDR hold it
+  * at 0), so the search terminates as soon as the popped bound exceeds the
+  * current k-th distance `d_k`. `LB_p` (pivot
   * bound, Eq. 5 — see DESIGN.md for the two-sided correction) prunes whole
   * subtrees via `continue`; `LB_t` (two-side bound, Eq. 3) prunes individual
   * trajectories in accepting nodes.
@@ -129,8 +130,8 @@ object LocalSearch {
     while (pq.nonEmpty && !done) {
       val t = pq.dequeue()
       stats.nodesPopped += 1
-      if (ops.monotone && t.lbO > best.dk) done = true // all remaining > d_k
-      else if (t.lbP > best.dk || t.lbO > best.dk) ()  // subtree pruned; continue
+      if (t.lbO > best.dk) done = true // all remaining > d_k
+      else if (t.lbP > best.dk) ()     // subtree pruned; continue
       else {
         val v = t.handle
         var atEnd = true
@@ -139,7 +140,7 @@ object LocalSearch {
           t.pos += 1
           val next = t.lbO <= best.dk && (pq.isEmpty || t.lbO <= pq.head.lbO)
           if (!next) { // not next in line: cut or wait in the queue
-            if (!(ops.monotone && t.lbO > best.dk)) push(t)
+            if (!(t.lbO > best.dk)) push(t)
             atEnd = false
           }
         }
@@ -157,7 +158,7 @@ object LocalSearch {
           trie.foreachChild(v) { (z, c) =>
             val out = new SNode(c, trie.runFrom(c) + 1, 0.0, new Array[Double](t.arr.length))
             extend(t, z, out)
-            if (!(ops.monotone && out.lbO > best.dk)) {
+            if (!(out.lbO > best.dk)) {
               out.lbP = if (np > 0) pivotLB(c) else 0.0
               if (out.lbP <= best.dk) push(out)
             }

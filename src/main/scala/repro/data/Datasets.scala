@@ -31,10 +31,6 @@ object Datasets {
     case _                         => 0.05
   }
 
-  def byName(name: String): Spec =
-    all.find(_.name.equalsIgnoreCase(name)).getOrElse(
-      throw new IllegalArgumentException(s"unknown dataset $name"))
-
   /** The three distances of the performance overview (Table IV). */
   val tableMeasures: Seq[Measure] = Seq(Hausdorff, Frechet, DTW)
 }

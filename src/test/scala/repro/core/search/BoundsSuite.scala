@@ -9,8 +9,8 @@ import repro.core.rptrie.RPTrie
 
 /** Property tests for Lemmas 1–4: every lower bound must under-estimate the
   * true distance to every trajectory in the node's subtree, `LB_o` must be
-  * monotone down the trie for the monotone measures, and the incremental
-  * `CompLB` states must agree with from-scratch computation.
+  * monotone down the trie, and the incremental `CompLB` states must agree
+  * with from-scratch computation.
   */
 class BoundsSuite extends AnyFunSuite {
 
@@ -84,12 +84,10 @@ class BoundsSuite extends AnyFunSuite {
       }
     }
 
-    if (ops.monotone) {
-      test(s"${m.name}: LB_o is monotone non-decreasing down the trie (Lemma 2)") {
-        visitAll(trie, ops) { (v, ext, parent, _) =>
-          parent.foreach(p => assert(ext.lbO >= p.lbO - 1e-9,
-            s"${m.name}: node $v lbO ${ext.lbO} < parent ${p.lbO}"))
-        }
+    test(s"${m.name}: LB_o is monotone non-decreasing down the trie (Lemma 2)") {
+      visitAll(trie, ops) { (v, ext, parent, _) =>
+        parent.foreach(p => assert(ext.lbO >= p.lbO - 1e-9,
+          s"${m.name}: node $v lbO ${ext.lbO} < parent ${p.lbO}"))
       }
     }
 
