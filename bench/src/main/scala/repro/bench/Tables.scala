@@ -140,41 +140,39 @@ object Tables {
   }
 
   /** Table VIII: REPOSE vs Heter-DITA vs DITA on DTW and Fréchet. */
-  def tableVIII(spark: SparkSession): Map[(String, String, String), Double] = {
-    val specs = Seq(Datasets.tdrive, Datasets.xian, Datasets.osm)
-    val out = scala.collection.mutable.LinkedHashMap.empty[(String, String, String), Double]
-    for (measure <- Seq[Measure](DTW, Frechet); spec <- specs) {
-      val qs = queriesFor(spec)
-      out((measure.name, "REPOSE", spec.name)) = runReposeFull(spark, spec, measure, qs)._1.qt
-      out((measure.name, "Heter-DITA", spec.name)) =
-        runDITA(spark, spec, measure, qs, roundRobin = true).get.qt
-      out((measure.name, "DITA", spec.name)) =
-        runDITA(spark, spec, measure, qs).get.qt
-    }
-    for (measure <- Seq[Measure](DTW, Frechet)) {
-      printTable(s"Table VIII — heterogeneous partitioning in DITA (${measure.name})",
-        Seq("Algorithm", "T-drive (s)", "Xi'an (s)", "OSM (s)"),
-        Seq("REPOSE", "Heter-DITA", "DITA").map(a =>
-          Seq(a) ++ specs.map(s => fmt(out((measure.name, a, s.name))))))
-    }
-    out.toMap
-  }
+  def tableVIII(spark: SparkSession): Map[(String, String, String), Double] =
+    heterogeneousBaseline(spark, "VIII", Seq(DTW, Frechet), "DITA",
+      (spec, measure, qs, roundRobin) => runDITA(spark, spec, measure, qs, roundRobin).get)
 
   /** Table IX: REPOSE vs Heter-DFT vs DFT on Hausdorff and Fréchet. */
-  def tableIX(spark: SparkSession): Map[(String, String, String), Double] = {
+  def tableIX(spark: SparkSession): Map[(String, String, String), Double] =
+    heterogeneousBaseline(spark, "IX", Seq(Hausdorff, Frechet), "DFT",
+      (spec, measure, qs, roundRobin) => runDFT(spark, spec, measure, qs, roundRobin))
+
+  /** REPOSE vs Heter-X vs X on three datasets, one table per measure, where
+    * `run(spec, measure, queries, roundRobin)` runs the baseline X: with
+    * round-robin (heterogeneous) partitioning for Heter-X.
+    */
+  private def heterogeneousBaseline(
+      spark: SparkSession,
+      table: String,
+      measures: Seq[Measure],
+      baseline: String,
+      run: (TrajGen.Spec, Measure, Array[Trajectory], Boolean) => Cell,
+  ): Map[(String, String, String), Double] = {
     val specs = Seq(Datasets.tdrive, Datasets.xian, Datasets.osm)
+    val heter = s"Heter-$baseline"
     val out = scala.collection.mutable.LinkedHashMap.empty[(String, String, String), Double]
-    for (measure <- Seq[Measure](Hausdorff, Frechet); spec <- specs) {
+    for (measure <- measures; spec <- specs) {
       val qs = queriesFor(spec)
       out((measure.name, "REPOSE", spec.name)) = runReposeFull(spark, spec, measure, qs)._1.qt
-      out((measure.name, "Heter-DFT", spec.name)) =
-        runDFT(spark, spec, measure, qs, roundRobin = true).qt
-      out((measure.name, "DFT", spec.name)) = runDFT(spark, spec, measure, qs).qt
+      out((measure.name, heter, spec.name)) = run(spec, measure, qs, true).qt
+      out((measure.name, baseline, spec.name)) = run(spec, measure, qs, false).qt
     }
-    for (measure <- Seq[Measure](Hausdorff, Frechet)) {
-      printTable(s"Table IX — heterogeneous partitioning in DFT (${measure.name})",
+    for (measure <- measures) {
+      printTable(s"Table $table — heterogeneous partitioning in $baseline (${measure.name})",
         Seq("Algorithm", "T-drive (s)", "Xi'an (s)", "OSM (s)"),
-        Seq("REPOSE", "Heter-DFT", "DFT").map(a =>
+        Seq("REPOSE", heter, baseline).map(a =>
           Seq(a) ++ specs.map(s => fmt(out((measure.name, a, s.name))))))
     }
     out.toMap

@@ -87,15 +87,7 @@ final case class ZGrid(minX: Double, minY: Double, l: Int, delta: Double)
   /** Distinct z-values of a trajectory (order dropped) — the `Z_i` sets fed
     * to the hitting-set optimization for order-independent measures (§III-C).
     */
-  def refSet(pts: Array[Point]): Array[Int] = {
-    val seen = new java.util.TreeSet[Integer]()
-    var i = 0
-    while (i < pts.length) { seen.add(zOf(pts(i))); i += 1 }
-    val out = new Array[Int](seen.size)
-    val it = seen.iterator(); var j = 0
-    while (it.hasNext) { out(j) = it.next(); j += 1 }
-    out
-  }
+  def refSet(pts: Array[Point]): Array[Int] = pts.map(zOf(_)).distinct.sorted
 
   /** Reference trajectory as points (one per entry of `refSeq`). */
   def refPoints(zs: Array[Int]): Array[Point] = zs.map(refPoint)

@@ -96,17 +96,18 @@ final class RPTrie private (
 
 object RPTrie {
 
-  /** Build-time node; children are keyed by their runs' first labels. */
-  private final class BNode(var run: Array[Int]) {
-    var children = mutable.LinkedHashMap.empty[Int, BNode]
-    var tids = mutable.ArrayBuffer.empty[Int]
-    var dmax = 0.0
-    var maxDev = 0.0
-    var hrMin: Array[Double] = null
-    var hrMax: Array[Double] = null
-  }
+  /** A trajectory's labels from `from` on, still to be placed, and its id. */
+  private final class Item(val zs: Array[Int], val from: Int, val tid: Int)
 
-  /** Build an RP-Trie over `trajs` (§III-B).
+  /** A node's children as (the run's first labels, the child's group). */
+  private type Branches = Array[(Array[Int], Array[Item])]
+
+  /** Build an RP-Trie over `trajs` (§III-B) in one BFS pass over item
+    * groups. Each group is split once into the ids that end at its node and
+    * its children; only the split differs between the two tries, and in both
+    * a lone item's remaining labels become one run. A child's edge takes
+    * labels while its group neither ends nor splits into more than one
+    * child, so every run is maximal.
     *
     * @param pivots    global pivot trajectories, selected once on the driver
     *                  by `selectPivots` and shipped in the closure that builds
@@ -125,13 +126,74 @@ object RPTrie {
       optimized: Boolean = true,
   ): RPTrie = {
     val kept = if (measure.isMetric) pivots else Array.empty[Array[Point]]
-    val root = new BNode(Array.emptyIntArray)
-    if (optimized && measure.orderIndependent)
-      buildGreedy(root,
-        mutable.ArrayBuffer.tabulate(trajs.length)(i => (grid.refSet(trajs(i).points), i)))
-    else trajs.indices.foreach(i => insert(root, grid.refSeq(trajs(i).points), i))
-    val numNodes = computePayloads(root, trajs, grid, measure, kept)
-    freeze(root, numNodes, trajs.length, grid, measure, kept)
+    val np = kept.length
+    val greedy = optimized && measure.orderIndependent
+    def split(items: Array[Item]): (Array[Int], Branches) = {
+      val (ending, rest) = items.partition(it => it.from == it.zs.length)
+      (ending.map(_.tid), rest match {
+        case Array(it) => Array((it.zs.drop(it.from), Array(new Item(it.zs, it.zs.length, it.tid))))
+        case _ => (if (greedy) byFrequentZ(rest) else byNextLabel(rest)).sortBy(_._1(0))
+      })
+    }
+
+    // The queue holds each node's path from the root and its split; a node's
+    // children get the next free handles, and its payload is computed, when
+    // it is dequeued.
+    val queue = mutable.Queue((Array.emptyIntArray, split(Array.tabulate(trajs.length) { i =>
+      val pts = trajs(i).points
+      new Item(if (greedy) grid.refSet(pts) else grid.refSeq(pts), 0, i)
+    })))
+    val parentB, firstChildB, runStartB, runLabelsB, tidStartB, tidB = new mutable.ArrayBuilder.ofInt
+    val dmaxB, hrMinB, hrMaxB = new mutable.ArrayBuilder.ofDouble
+    parentB += -1; runStartB += 0 += 0; tidStartB += 0
+    var v = 0
+    var next = 1
+    while (queue.nonEmpty) {
+      val (path, (tids, children)) = queue.dequeue()
+      firstChildB += next
+      children.foreach { case (first, group) =>
+        val run = new mutable.ArrayBuilder.ofInt
+        run ++= first
+        var s = split(group)
+        while (s._1.isEmpty && s._2.length == 1) { run ++= s._2(0)._1; s = split(s._2(0)._2) }
+        val labels = run.result()
+        runLabelsB ++= labels; runStartB += runLabelsB.length; parentB += v
+        queue += ((path ++ labels, s))
+        next += 1
+      }
+      tidB ++= tids; tidStartB += tidB.length
+      if (tids.isEmpty) {
+        dmaxB += 0.0
+        hrMinB ++= Array.fill(np)(Double.MaxValue); hrMaxB ++= Array.fill(np)(Double.MinValue)
+      } else {
+        val refPts = grid.refPoints(path)
+        dmaxB += tids.foldLeft(0.0) { (m, tid) =>
+          val d = measure.dist(trajs(tid).points, refPts)
+          if (d > m) d else m
+        }
+        val toPivots = kept.map(measure.dist(refPts, _))
+        hrMinB ++= toPivots; hrMaxB ++= toPivots
+      }
+      v += 1
+    }
+    firstChildB += next
+    val Array(parent, firstChild, runStart, runLabels, tidStart, tidArr) =
+      Array(parentB, firstChildB, runStartB, runLabelsB, tidStartB, tidB).map(_.result())
+    val Array(dmaxArr, hrMinArr, hrMaxArr) = Array(dmaxB, hrMinB, hrMaxB).map(_.result())
+    val maxDevArr = dmaxArr.clone()
+
+    // Fold maxDev and the HR ranges into each parent, children before parents.
+    for (c <- next - 1 until 0 by -1) {
+      val u = parent(c)
+      if (maxDevArr(c) > maxDevArr(u)) maxDevArr(u) = maxDevArr(c)
+      for (p <- 0 until np) {
+        if (hrMinArr(c * np + p) < hrMinArr(u * np + p)) hrMinArr(u * np + p) = hrMinArr(c * np + p)
+        if (hrMaxArr(c * np + p) > hrMaxArr(u * np + p)) hrMaxArr(u * np + p) = hrMaxArr(c * np + p)
+      }
+    }
+    new RPTrie(
+      grid, measure, kept, firstChild, runStart, runLabels, tidStart,
+      tidArr, dmaxArr, maxDevArr, hrMinArr, hrMaxArr)
   }
 
   /** Select `np` pivots by sampling `groups` random groups and keeping the
@@ -168,161 +230,37 @@ object RPTrie {
     best.map(trajs(_).points.clone())
   }
 
-  private def insert(root: BNode, zs: Array[Int], tid: Int): Unit =
-    zs.foldLeft(root)((cur, z) => cur.children.getOrElseUpdate(z, new BNode(Array(z)))).tids += tid
-
-  /** Greedy hitting-set construction (§III-C + Appendix B): at every level,
-    * repeatedly promote the currently most frequent z-value to a child node,
-    * claim every remaining set containing it, and subtract the claimed sets'
-    * frequencies (the appendix's `C(Z) − C(Z^z)` differencing). A lone set's
-    * cells become one run in ascending z, the order the greedy picks when
-    * every count is 1.
-    */
-  private def buildGreedy(
-      node: BNode,
-      items: mutable.ArrayBuffer[(Array[Int], Int)],
-  ): Unit = {
-    val (ending, rest) = items.partition(_._1.isEmpty)
-    node.tids ++= ending.map(_._2)
-    var remaining = rest
-    if (remaining.length == 1) {
-      val child = new BNode(remaining(0)._1)
-      child.tids += remaining(0)._2
-      node.children.update(child.run(0), child)
-      return
+  /** Order-preserving split (§III-B): one child per next label. */
+  private def byNextLabel(items: Array[Item]): Branches =
+    items.groupBy(it => it.zs(it.from)).toArray.map { case (z, group) =>
+      (Array(z), group.map(it => new Item(it.zs, it.from + 1, it.tid)))
     }
+
+  /** Greedy hitting-set split (§III-C + Appendix B): repeatedly promote the
+    * currently most frequent z-value to a child, claim every remaining set
+    * containing it, and subtract the claimed sets' frequencies (the
+    * appendix's `C(Z) − C(Z^z)` differencing). Its items are whole ascending
+    * sets (`from` = 0); a child's are copies without the promoted z-value.
+    */
+  private def byFrequentZ(items: Array[Item]): Branches = {
+    val children = mutable.ArrayBuffer.empty[(Array[Int], Array[Item])]
     val counts = mutable.HashMap.empty[Int, Int]
-    remaining.foreach(_._1.foreach(z => counts.update(z, counts.getOrElse(z, 0) + 1)))
+    items.foreach(_.zs.foreach(z => counts.update(z, counts.getOrElse(z, 0) + 1)))
+    var remaining = items
     while (remaining.nonEmpty) {
       // Most frequent z-value; ties broken by smallest z for determinism.
       var bestZ = -1; var bestC = -1
       counts.foreach { case (z, c) =>
         if (c > bestC || (c == bestC && z < bestZ)) { bestZ = z; bestC = c }
       }
-      val (hit, miss) = remaining.partition(it => java.util.Arrays.binarySearch(it._1, bestZ) >= 0)
-      hit.foreach(_._1.foreach { z =>
+      val (hit, miss) = remaining.partition(it => java.util.Arrays.binarySearch(it.zs, bestZ) >= 0)
+      hit.foreach(_.zs.foreach { z =>
         val c = counts(z) - 1
         if (c == 0) counts.remove(z) else counts.update(z, c)
       })
-      val child = new BNode(Array(bestZ))
-      node.children.update(bestZ, child)
-      buildGreedy(child, hit.map { case (zs, tid) => (zs.filter(_ != bestZ), tid) })
+      children += ((Array(bestZ), hit.map(it => new Item(it.zs.filter(_ != bestZ), 0, it.tid))))
       remaining = miss
     }
-  }
-
-  /** Merge every unary chain of non-root nodes without trajectory ids into
-    * one node, compute accepting-node payloads (HR point values, D_max) by DFS
-    * carrying the z-path, then propagate HR ranges and maxDev bottom-up.
-    * Returns the number of nodes.
-    */
-  private def computePayloads(
-      root: BNode,
-      trajs: Array[Trajectory],
-      grid: ZGrid,
-      measure: Measure,
-      pivots: Array[Array[Point]],
-  ): Int = {
-    val np = pivots.length
-    val path = mutable.ArrayBuffer.empty[Int]
-    var count = 0
-
-    def visit(node: BNode): Unit = {
-      count += 1
-      node.hrMin = Array.fill(np)(Double.MaxValue)
-      node.hrMax = Array.fill(np)(Double.MinValue)
-      if (node.tids.nonEmpty) {
-        val refPts = grid.refPoints(path.toArray)
-        var p = 0
-        while (p < np) {
-          val d = measure.dist(refPts, pivots(p))
-          node.hrMin(p) = d; node.hrMax(p) = d
-          p += 1
-        }
-        var dm = 0.0
-        node.tids.foreach { tid =>
-          val d = measure.dist(trajs(tid).points, refPts)
-          if (d > dm) dm = d
-        }
-        node.dmax = dm
-        node.maxDev = dm
-      }
-      node.children.valuesIterator.foreach { c =>
-        var end = c
-        val run = mutable.ArrayBuilder.make[Int]
-        while (end.tids.isEmpty && end.children.size == 1) {
-          run ++= end.run
-          end = end.children.head._2
-        }
-        if (end ne c) {
-          c.run = (run ++= end.run).result()
-          c.children = end.children
-          c.tids = end.tids
-        }
-        path ++= c.run
-        visit(c)
-        path.remove(path.length - c.run.length, c.run.length)
-        var p = 0
-        while (p < np) {
-          if (c.hrMin(p) < node.hrMin(p)) node.hrMin(p) = c.hrMin(p)
-          if (c.hrMax(p) > node.hrMax(p)) node.hrMax(p) = c.hrMax(p)
-          p += 1
-        }
-        if (c.maxDev > node.maxDev) node.maxDev = c.maxDev
-      }
-    }
-    visit(root)
-    count
-  }
-
-  /** Freeze the build tree into the flat layout in one BFS pass. The BFS
-    * array doubles as the queue: a node's children get the next free handles
-    * when it is dequeued.
-    */
-  private def freeze(
-      root: BNode,
-      n: Int,
-      numTids: Int,
-      grid: ZGrid,
-      measure: Measure,
-      pivots: Array[Array[Point]],
-  ): RPTrie = {
-    val np = pivots.length
-    val bfs = new Array[BNode](n)
-    bfs(0) = root
-    var next = 1
-    val firstChild = new Array[Int](n + 1)
-    val runStart = new Array[Int](n + 1)
-    val runLabels = mutable.ArrayBuilder.make[Int]
-    val tidStart = new Array[Int](n + 1)
-    val tidArr = new Array[Int](numTids)
-    val dmaxArr = new Array[Double](n)
-    val maxDevArr = new Array[Double](n)
-    val hrMinArr = new Array[Double](n * np)
-    val hrMaxArr = new Array[Double](n * np)
-
-    var v = 0
-    while (v < n) {
-      val b = bfs(v)
-      runLabels ++= b.run
-      runStart(v + 1) = runStart(v) + b.run.length
-      firstChild(v) = next
-      b.children.values.toArray.sortBy(_.run(0)).foreach { c =>
-        bfs(next) = c
-        next += 1
-      }
-      b.tids.copyToArray(tidArr, tidStart(v))
-      tidStart(v + 1) = tidStart(v) + b.tids.length
-      dmaxArr(v) = b.dmax
-      maxDevArr(v) = b.maxDev
-      System.arraycopy(b.hrMin, 0, hrMinArr, v * np, np)
-      System.arraycopy(b.hrMax, 0, hrMaxArr, v * np, np)
-      v += 1
-    }
-    firstChild(n) = n
-
-    new RPTrie(
-      grid, measure, pivots, firstChild, runStart, runLabels.result(), tidStart,
-      tidArr, dmaxArr, maxDevArr, hrMinArr, hrMaxArr)
+    children.toArray
   }
 }
