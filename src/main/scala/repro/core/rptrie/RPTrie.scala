@@ -96,10 +96,16 @@ final class RPTrie private (
 
 object RPTrie {
 
-  /** A trajectory's labels from `from` on, still to be placed, and its id. */
-  private final class Item(val zs: Array[Int], val from: Int, val tid: Int)
+  /** A trajectory's labels from `from` on, still to be placed, and its id.
+    * An item is in one group at a time, so a split advances it in place.
+    */
+  private final class Item(val zs: Array[Int], var from: Int, val tid: Int) {
+    def next: Int = zs(from)
+  }
 
-  /** A node's children as (the run's first labels, the child's group). */
+  /** A node's children as (the run's first labels, the child's group),
+    * sorted by first label.
+    */
   private type Branches = Array[(Array[Int], Array[Item])]
 
   /** Build an RP-Trie over `trajs` (§III-B) in one BFS pass over item
@@ -131,8 +137,11 @@ object RPTrie {
     def split(items: Array[Item]): (Array[Int], Branches) = {
       val (ending, rest) = items.partition(it => it.from == it.zs.length)
       (ending.map(_.tid), rest match {
-        case Array(it) => Array((it.zs.drop(it.from), Array(new Item(it.zs, it.zs.length, it.tid))))
-        case _ => (if (greedy) byFrequentZ(rest) else byNextLabel(rest)).sortBy(_._1(0))
+        case Array(it) =>
+          val run = it.zs.drop(it.from)
+          it.from = it.zs.length
+          Array((run, rest))
+        case _ => if (greedy) byFrequentZ(rest) else byNextLabel(rest)
       })
     }
 
@@ -230,11 +239,25 @@ object RPTrie {
     best.map(trajs(_).points.clone())
   }
 
-  /** Order-preserving split (§III-B): one child per next label. */
-  private def byNextLabel(items: Array[Item]): Branches =
-    items.groupBy(it => it.zs(it.from)).toArray.map { case (z, group) =>
-      (Array(z), group.map(it => new Item(it.zs, it.from + 1, it.tid)))
+  /** Order-preserving split (§III-B): one child per next label, in label
+    * order. The sort is stable, so each child's items keep their order;
+    * every run of equal next labels is one child, its items advanced past it.
+    */
+  private def byNextLabel(items: Array[Item]): Branches = {
+    val sorted = items.sortBy(_.next)
+    val children = Array.newBuilder[(Array[Int], Array[Item])]
+    var i = 0
+    while (i < sorted.length) {
+      val z = sorted(i).next
+      var j = i + 1
+      while (j < sorted.length && sorted(j).next == z) j += 1
+      val group = sorted.slice(i, j)
+      group.foreach(_.from += 1)
+      children += ((Array(z), group))
+      i = j
     }
+    children.result()
+  }
 
   /** Greedy hitting-set split (§III-C + Appendix B): repeatedly promote the
     * currently most frequent z-value to a child, claim every remaining set
@@ -261,6 +284,6 @@ object RPTrie {
       children += ((Array(bestZ), hit.map(it => new Item(it.zs.filter(_ != bestZ), 0, it.tid))))
       remaining = miss
     }
-    children.toArray
+    children.toArray.sortBy(_._1(0))
   }
 }
