@@ -9,7 +9,7 @@ import scala.jdk.CollectionConverters._
 import scala.sys.process._
 import scala.util.Try
 
-import repro.core.{Measure, Trajectory, ZGrid}
+import repro.core.{Measure, Point, Repose, Trajectory, ZGrid}
 import repro.core.rptrie.RPTrie
 import repro.core.search.{LocalSearch, TopK}
 import repro.data.{Datasets, TrajGen}
@@ -25,14 +25,18 @@ import repro.data.{Datasets, TrajGen}
   * Builds the analog into 16 optimized tries, one per partition (ids dealt
   * round-robin; global pivots from an id-strided sample, as `Repose.build`
   * selects them from a sample), then replays 100 k = 50 top-k queries
-  * of `TrajGen.queries`:
+  * of `TrajGen.queries`. Both modes compute each query's pivot distances
+  * once and pass them to every trie's search, as `Repose.Index` does:
   *  - single-threaded, one query after another over all 16 tries and the
   *    merge; the p50 and p90 are over every query of every warm repeat;
   *  - as a batch in the two rounds of `Repose.Index.queryBatch`: 16 tasks,
   *    one per trie, on 4 threads, answer every query at ⌈k/16⌉ and are
-  *    merged per query; 16 more answer every query at k, each search
-  *    bounded by its query's merged k-th pair (θ, id_θ), and are merged
-  *    again.
+  *    merged per query; 16 more answer every query at k where
+  *    `Repose.needsRound2` marks the trie's round-1 list incomplete, each
+  *    search bounded by its query's merged k-th pair (θ, id_θ), and the
+  *    round-2 lists of searched tries and the round-1 lists of the others
+  *    are merged again. `r2_searched` is the share of (query, trie) pairs
+  *    round 2 searches.
   * Each mode makes one untimed warm pass and then 5 timed ones. It prints
   * the figures and `LocalSearch.Stats` per query: the single-threaded
   * (one-round) search's, then each batch round's (`r1_`, `r2_`). It appends
@@ -97,7 +101,9 @@ object LocalSearchBench {
     val mbr = trajs.iterator.map(_.mbr).reduce(_ union _)
     val grid = ZGrid.fit(mbr, Datasets.delta(spec, measure))
     val sample = trajs.indices.by(math.max(1, trajs.length / 100)).map(trajs(_)).toArray
-    val pivots = RPTrie.selectPivots(sample, measure, 5, 10, 42L)
+    // `RPTrie.build` keeps no pivot for a non-metric measure.
+    val pivots =
+      if (measure.isMetric) RPTrie.selectPivots(sample, measure, 5, 10, 42L) else Array.empty[Array[Point]]
     val parts: Array[(RPTrie, Array[Trajectory])] = Array.tabulate(Partitions) { p =>
       val ts = trajs.filter(_.id % Partitions == p)
       (RPTrie.build(ts, grid, measure, pivots), ts)
@@ -110,32 +116,49 @@ object LocalSearchBench {
       val ms = new Array[Double](nq)
       val answers = qs.zipWithIndex.map { case (q, i) =>
         val s = System.nanoTime()
-        val a = TopK.merge(K, parts.iterator.map { case (trie, ts) => LocalSearch.topK(trie, ts, q, K, stats) })
+        val dqp = LocalSearch.pivotDistances(measure, pivots, q)
+        val a = TopK.merge(K, parts.iterator.map { case (trie, ts) =>
+          LocalSearch.topK(trie, ts, q, dqp, K, stats, TopK.Unbounded)
+        })
         ms(i) = (System.nanoTime() - s) / 1e6
         a
       }
       (ms, answers)
     }
     val pool = Executors.newFixedThreadPool(Threads)
-    // One round of the batch: the top-k of every query, each search bounded
-    // by its query's entry of `bounds`, one task per trie; every task's
-    // counters are added to `stats`.
-    def round(k: Int, bounds: Array[(Double, Long)], stats: LocalSearch.Stats): Array[Array[(Long, Double)]] = {
-      val tasks = parts.toSeq.map { case (trie, ts) =>
+    // One round of the batch, one task per trie: row p holds trie p's top-k
+    // of every query i with `search(p)(i)` (else an empty list), each search
+    // bounded by its query's entry of `bounds`; every task's counters are
+    // added to `stats`.
+    def round(k: Int, dq: Array[Array[Double]], bounds: Array[(Double, Long)], search: Array[Array[Boolean]],
+        stats: LocalSearch.Stats): Array[Array[Array[(Long, Double)]]] = {
+      val tasks = parts.indices.map { p =>
+        val (trie, ts) = parts(p)
         new Callable[(Array[Array[(Long, Double)]], LocalSearch.Stats)] {
           def call() = {
             val s = new LocalSearch.Stats
-            (qs.indices.map(i => LocalSearch.topK(trie, ts, qs(i), k, s, bounds(i))).toArray, s)
+            (Array.tabulate(nq) { i =>
+              if (search(p)(i)) LocalSearch.topK(trie, ts, qs(i), dq(i), k, s, bounds(i))
+              else Array.empty[(Long, Double)]
+            }, s)
           }
         }
       }
       val rows = pool.invokeAll(tasks.asJava).asScala.map(_.get()).toArray
       rows.foreach { case (_, s) => addTo(stats, s) }
-      Array.tabulate(nq)(qi => TopK.merge(K, rows.iterator.map(_._1(qi))))
+      rows.map(_._1)
     }
-    def batch(r1: LocalSearch.Stats, r2: LocalSearch.Stats): Array[Array[(Long, Double)]] = {
-      val first = round((K + Partitions - 1) / Partitions, Array.fill(nq)(TopK.Unbounded), r1)
-      round(K, first.map(TopK.boundOf(K, _)), r2)
+    // Both rounds; returns the answers and the number of (query, trie)
+    // pairs round 2 searched.
+    def batch(r1: LocalSearch.Stats, r2: LocalSearch.Stats): (Array[Array[(Long, Double)]], Int) = {
+      val k1 = (K + Partitions - 1) / Partitions
+      val dq = qs.map(LocalSearch.pivotDistances(measure, pivots, _))
+      val first = round(k1, dq, Array.fill(nq)(TopK.Unbounded), Array.fill(Partitions, nq)(true), r1)
+      val bounds = Array.tabulate(nq)(i => TopK.boundOf(K, TopK.merge(K, first.iterator.map(_(i)))))
+      val need = Array.tabulate(Partitions, nq)((p, i) => Repose.needsRound2(first(p)(i), k1, bounds(i)))
+      val second = round(K, dq, bounds, need, r2)
+      (Array.tabulate(nq)(i => TopK.merge(K, parts.indices.iterator.map(p => if (need(p)(i)) second(p)(i) else first(p)(i)))),
+        need.map(_.count(identity)).sum)
     }
 
     try {
@@ -152,7 +175,8 @@ object LocalSearchBench {
         singleMs ++= ms
       }
       val (r1, r2) = (new LocalSearch.Stats, new LocalSearch.Stats)
-      require(batch(r1, r2).map(_.toSeq).toSeq == answers.map(_.toSeq).toSeq,
+      val (batchAnswers, searched) = batch(r1, r2)
+      require(batchAnswers.map(_.toSeq).toSeq == answers.map(_.toSeq).toSeq,
         "batch answers differ from single-threaded ones")
       val batchMs = Seq.newBuilder[Double]
       val batchGc = Seq.newBuilder[Double]
@@ -173,7 +197,8 @@ object LocalSearchBench {
         "cut_by_mbr" -> st.cutByMbr, "abandoned" -> st.abandoned,
       ).map { case (name, x) => name -> x.toDouble / nq }
       val (c0, c1, c2) = (counters(stats), counters(r1), counters(r2))
-      val prefixed = c1.map { case (name, v) => ("r1_" + name) -> v } ++ c2.map { case (name, v) => ("r2_" + name) -> v }
+      val prefixed = c1.map { case (name, v) => ("r1_" + name) -> v } ++ c2.map { case (name, v) => ("r2_" + name) -> v } :+
+        ("r2_searched" -> searched.toDouble / (nq * Partitions))
       val sha = git("rev-parse", "--short", "HEAD").getOrElse("unknown") +
         (if (git("status", "--porcelain", "--", ":/src").isDefined) "+dirty" else "")
       val figures = Seq[(String, Double)](
@@ -193,6 +218,7 @@ object LocalSearchBench {
       c0.indices.foreach { i =>
         println(f"  ${c0(i)._1}%-18s ${fmt(c0(i)._2)}%14s ${fmt(c1(i)._2)}%14s ${fmt(c2(i)._2)}%14s")
       }
+      println(f"  ${"searched"}%-18s ${""}%14s ${fmt(1.0)}%14s ${fmt(prefixed.last._2)}%14s")
       println(s"  answer_hash        ${hash(answers)}")
       val runs = append(Paths.get(git("rev-parse", "--show-toplevel").getOrElse(".")).resolve("BENCH_local.json"), key, entry)
       println(s"  over the ${runs.length} entries of this key: median [q1, q3]")

@@ -35,7 +35,9 @@ final case class ReposeConfig(
   * `mapPartitions` — the `RpTrieRDD = RDD[RpTraj]` of §V-C. `query` runs the
   * best-first local search in every partition and merges the per-partition
   * top-k on the driver with `collect`; `queryBatch` does so twice, the
-  * second round bounded by the first (see DESIGN.md, *Two-round batches*).
+  * second round bounded by the first and run only in the partitions the
+  * first left incomplete (see DESIGN.md, *Two-round batches*). Both ship
+  * each query's distances to the global pivots, computed on the driver.
   */
 object Repose {
 
@@ -50,38 +52,72 @@ object Repose {
       val rdd: RpTrieRDD,
       val measure: Measure,
       val grid: ZGrid,
+      val pivots: Array[Array[Point]],
       val cfg: ReposeConfig,
   ) extends Serializable {
+
+    /** Validates the batch and pairs each query with its distances to the
+      * global pivots, computed here once for every partition and round.
+      */
+    private def withPivotDistances(qs: Array[Array[Point]], k: Int): Array[(Array[Point], Array[Double])] = {
+      requireQueries(qs, k)
+      qs.map(q => (q, LocalSearch.pivotDistances(measure, pivots, q)))
+    }
 
     /** Exact global top-k for one query trajectory, in one Spark job: the
       * one-round search, since a second round's job costs more than a lone
       * query's search saves.
       */
-    def query(q: Array[Point], k: Int): Array[(Long, Double)] =
-      batchTopK(rdd, Array(q), k)((rp, q) => LocalSearch.topK(rp.index, rp.trajs, q, k)).head
+    def query(q: Array[Point], k: Int): Array[(Long, Double)] = {
+      val rows = indexedJob(rdd, withPivotDistances(Array(q), k)) { case (_, rp, (q, dqp)) =>
+        LocalSearch.topK(rp.index, rp.trajs, q, dqp, k, new LocalSearch.Stats, TopK.Unbounded)
+      }
+      TopK.merge(k, rows.iterator.map(_._2.head))
+    }
 
     /** Exact top-k for a batch of queries in two Spark jobs. Every partition
       * answers every query locally and the driver merges per query, twice:
-      *  - round 1 asks each partition for its top-⌈k/P⌉, P =
+      *  - round 1 asks each partition for its top-k₁, k₁ = ⌈k/P⌉ and P =
       *    `cfg.numPartitions`, and merges them into the union's top-k;
       *  - when that union holds k results, its last pair (θ, id_θ) is at or
       *    above the global k-th pair, so round 2's top-k search starts with
       *    it as its admission bound (`LocalSearch.topK`'s `bound`); with
-      *    fewer, round 2 runs unbounded.
-      * Round 2's merge is the answer. Batching amortizes both jobs' launch
-      * overhead across the workload, which is how a 100-query evaluation
-      * set is processed.
+      *    fewer, round 2 runs unbounded;
+      *  - round 2 searches a partition for a query only where round 1 left
+      *    its list incomplete (`needsRound2`); a complete list already holds
+      *    every pair of the partition up to (θ, id_θ), so the final merge
+      *    takes it in place of a second search.
+      * Each query's pivot distances are computed once, on the driver, and
+      * shipped with it. Batching amortizes both jobs' launch overhead across
+      * the workload, which is how a 100-query evaluation set is processed.
       *
       * Throws `IllegalArgumentException` on the driver, before any job runs,
       * when k < 1 or a query is empty or has a non-finite coordinate.
       */
     def queryBatch(qs: Array[Array[Point]], k: Int): Array[Array[(Long, Double)]] = {
+      val in = withPivotDistances(qs, k)
       val k1 = ((k.toLong + cfg.numPartitions - 1) / cfg.numPartitions).toInt
-      val first = batchTopK(rdd, qs, k)((rp, q) => LocalSearch.topK(rp.index, rp.trajs, q, k1))
-      val rows = batchJob(rdd, qs.zip(first.map(TopK.boundOf(k, _)))) { case (rp, (q, bound)) =>
-        LocalSearch.topK(rp.index, rp.trajs, q, k, new LocalSearch.Stats, bound)
+      val first = indexedJob(rdd, in) { case (_, rp, (q, dqp)) =>
+        LocalSearch.topK(rp.index, rp.trajs, q, dqp, k1, new LocalSearch.Stats, TopK.Unbounded)
       }
-      mergeRows(rows, qs.length, k)
+      val bounds = mergeRows(first.map(_._2), qs.length, k).map(TopK.boundOf(k, _))
+      // searched(qi)(p): whether round 2 searches partition p for query qi.
+      val searched = Array.tabulate(qs.length) { qi =>
+        val s = new Array[Boolean](rdd.getNumPartitions)
+        first.foreach { case (p, lists) => s(p) = needsRound2(lists(qi), k1, bounds(qi)) }
+        s
+      }
+      val second = indexedJob(rdd, Array.tabulate(qs.length)(qi => (in(qi), bounds(qi), searched(qi)))) {
+        case (p, rp, ((q, dqp), bound, s)) =>
+          if (s(p)) LocalSearch.topK(rp.index, rp.trajs, q, dqp, k, new LocalSearch.Stats, bound)
+          else Array.empty[(Long, Double)]
+      }
+      val firstOf = first.toMap
+      Array.tabulate(qs.length) { qi =>
+        TopK.merge(k, second.iterator.map { case (p, lists) =>
+          if (searched(qi)(p)) lists(qi) else firstOf(p)(qi)
+        })
+      }
     }
 
     /** Per-partition workload skew for a query batch: (max / mean) of the
@@ -91,9 +127,9 @@ object Repose {
       * (§V-B); per-query wall-clock equals the slowest partition's share.
       */
     def workImbalance(qs: Array[Array[Point]], k: Int): Double = {
-      val perPart = batchJob(rdd, qs) { (rp, q) =>
+      val perPart = batchJob(rdd, withPivotDistances(qs, k)) { case (rp, (q, dqp)) =>
         val stats = new LocalSearch.Stats
-        LocalSearch.topK(rp.index, rp.trajs, q, k, stats)
+        LocalSearch.topK(rp.index, rp.trajs, q, dqp, k, stats, TopK.Unbounded)
         stats.exactDistances
       }.map(_.sum)
       if (perPart.isEmpty || perPart.sum == 0) 1.0
@@ -124,17 +160,41 @@ object Repose {
       require(isValid(qs(qi)), s"query $qi is empty or has a non-finite coordinate"))
   }
 
-  /** The one batched-query job: broadcasts the batch, and row e of the
-    * result holds `search`'s answers to every query in element e. The
-    * broadcast is destroyed whether or not the job succeeds.
+  /** Whether round 2 of `queryBatch` must search a partition whose round-1
+    * list is `local`, its top-k₁ in (distance, id) order, given the bound
+    * (θ, id_θ) round 1 gave its query. A list is complete when it is
+    * shorter than k₁ (it holds the whole partition) or its last pair is
+    * strictly above (θ, id_θ) (it holds every pair up to the bound); only
+    * an incomplete one is searched. Under `TopK.Unbounded` only a short list
+    * is complete.
+    */
+  private[repro] def needsRound2(local: Array[(Long, Double)], k1: Int, bound: (Double, Long)): Boolean =
+    local.length >= k1 && {
+      val (id, d) = local(local.length - 1)
+      TopK.order.compare((d, id), bound) <= 0
+    }
+
+  /** The one batched-query job: broadcasts the batch, and each element e of
+    * partition p gives one row (p, `search`'s answers to every query) in
+    * partition order. Partition indices are stable across jobs over one
+    * RDD, so two jobs' rows can be matched by them. The broadcast is
+    * destroyed whether or not the job succeeds.
+    */
+  private[repro] def indexedJob[P, Q: ClassTag, R: ClassTag](rdd: RDD[P], qs: Array[Q])(
+      search: (Int, P, Q) => R,
+  ): Array[(Int, Array[R])] = {
+    val qB = rdd.sparkContext.broadcast(qs)
+    try rdd.mapPartitionsWithIndex((i, it) => it.map(p => (i, qB.value.map(search(i, p, _))))).collect()
+    finally qB.destroy()
+  }
+
+  /** `indexedJob` without the partition indices: row e holds `search`'s
+    * answers to every query in element e.
     */
   private[repro] def batchJob[P, Q: ClassTag, R: ClassTag](rdd: RDD[P], qs: Array[Q])(
       search: (P, Q) => R,
-  ): Array[Array[R]] = {
-    val qB = rdd.sparkContext.broadcast(qs)
-    try rdd.map(p => qB.value.map(search(p, _))).collect()
-    finally qB.destroy()
-  }
+  ): Array[Array[R]] =
+    indexedJob(rdd, qs)((_, p, q) => search(p, q)).map(_._2)
 
   /** Exact top-k per query: validates the batch on the driver, runs
     * `batchJob`, and merges the elements' lists per query.
@@ -204,6 +264,6 @@ object Repose {
       }
       .persist(StorageLevel.MEMORY_ONLY)
     rdd.count() // materialize
-    new Index(rdd, measure, grid, cfg)
+    new Index(rdd, measure, grid, pivots, cfg)
   }
 }

@@ -2,7 +2,7 @@ package repro.core.search
 
 import scala.collection.mutable
 
-import repro.core.{Point, Trajectory}
+import repro.core.{Measure, Point, Trajectory}
 import repro.core.rptrie.RPTrie
 
 /** Best-first top-k search over an RP-Trie (§IV, Algorithm 2).
@@ -76,12 +76,31 @@ object LocalSearch {
       k: Int,
       stats: Stats = new Stats,
       bound: (Double, Long) = TopK.Unbounded,
+  ): Array[(Long, Double)] =
+    topK(trie, trajs, q, pivotDistances(trie.measure, trie.pivots, q), k, stats, bound)
+
+  /** d(q, p) for every pivot p, the query's side of `LB_p` (Eq. 5). */
+  def pivotDistances(measure: Measure, pivots: Array[Array[Point]], q: Array[Point]): Array[Double] =
+    pivots.map(measure.dist(q, _))
+
+  /** `topK` with the query's pivot distances given: `dqp` must be
+    * `pivotDistances` over `trie.pivots`. A caller that searches many tries
+    * built with the same global pivots computes them once per query.
+    */
+  def topK(
+      trie: RPTrie,
+      trajs: Array[Trajectory],
+      q: Array[Point],
+      dqp: Array[Double],
+      k: Int,
+      stats: Stats,
+      bound: (Double, Long),
   ): Array[(Long, Double)] = {
     if (k <= 0 || trajs.isEmpty) return Array.empty
     val measure = trie.measure
     val ops = BoundsOps.forMeasure(measure, trie.grid, q)
     val np = trie.pivots.length
-    val dqp = trie.pivots.map(p => measure.dist(q, p))
+    require(dqp.length == np, s"${dqp.length} pivot distances for $np pivots")
 
     val best = new TopK(k, bound)
 

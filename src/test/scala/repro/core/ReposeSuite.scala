@@ -7,7 +7,7 @@ import repro.baselines.LinearSearch
 import repro.baselines.dft.DFT
 import repro.baselines.dita.DITA
 import repro.core.partition.{Heterogeneous, Homogeneous, RandomPartitioning}
-import repro.core.search.LocalSearch
+import repro.core.search.{LocalSearch, TopK}
 
 /** End-to-end REPOSE tests: the distributed pipeline (partition → per-
   * partition RP-Trie → best-first local search → global merge) must return
@@ -250,6 +250,66 @@ class ReposeSuite extends SparkSpec {
         }
       } finally idx.unpersist()
     }
+  }
+
+  test("needsRound2 skips complete round-1 lists and searches the others") {
+    val local = Array(3L -> 1.0, 8L -> 2.0, 5L -> 4.0)
+    // Shorter than k₁: the whole partition, whatever the bound.
+    assert(!Repose.needsRound2(local, 4, (0.5, 0L)))
+    assert(!Repose.needsRound2(Array.empty, 1, (0.5, 0L)))
+    // Its last pair is (θ, id_θ) itself, not strictly above it: searched.
+    assert(Repose.needsRound2(local, 3, (4.0, 5L)))
+    assert(Repose.needsRound2(local, 3, (4.5, 0L)))
+    // Its last pair is strictly above (θ, id_θ), also only by id.
+    assert(!Repose.needsRound2(local, 3, (4.0, 4L)))
+    assert(!Repose.needsRound2(local, 3, (3.5, 9L)))
+    // Unbounded (round 1 found fewer than k): only a short list is complete.
+    assert(Repose.needsRound2(local, 3, TopK.Unbounded))
+    assert(Repose.needsRound2(Array(1L -> Double.MaxValue), 1, TopK.Unbounded))
+    assert(!Repose.needsRound2(local, 4, TopK.Unbounded))
+  }
+
+  // Round 1 replayed over the collected partitions: whether round 2 of
+  // `queryBatch` searches each partition for q.
+  private def round2Mask(idx: Repose.Index, q: Array[Point], k: Int): Seq[Boolean] = {
+    val k1 = (k + idx.cfg.numPartitions - 1) / idx.cfg.numPartitions
+    val lists = idx.rdd.collect().map(rp => LocalSearch.topK(rp.index, rp.trajs, q, k1))
+    val bound = TopK.boundOf(k, TopK.merge(k, lists.iterator))
+    lists.map(Repose.needsRound2(_, k1, bound)).toSeq
+  }
+
+  // Clustered placement: partitions whose clusters are far from a query hold
+  // few pairs up to θ, so their round-1 lists end above it and round 2 skips
+  // them. None of these k is a multiple of 6: at k = 6·k₁ the union of the
+  // six full lists holds exactly k pairs, every list ends at or below θ, and
+  // round 2 searches every partition.
+  test("queryBatch is exact when round 2 skips some partitions and searches others (Homogeneous)") {
+    val idx = Repose.build(spark, rdd, Frechet,
+      ReposeConfig(delta = 1.0, numPartitions = 6, strategy = Homogeneous))
+    try {
+      val qs = Array(TestUtils.randomQuery(8, seed = 379L), trajs(17).points, TestUtils.randomQuery(5, seed = 383L))
+      for (k <- Seq(2, 4, 8, 20, 40)) {
+        val masks = qs.flatMap(round2Mask(idx, _, k))
+        assert(masks.contains(true) && masks.contains(false), s"k = $k: $masks")
+        qs.zip(idx.queryBatch(qs, k)).foreach { case (q, got) =>
+          TestUtils.assertTopKEqual(got, TestUtils.bruteTopK(trajs, q, k, Frechet), trajs, q, Frechet)
+        }
+      }
+    } finally idx.unpersist()
+  }
+
+  // k = 2N: round 1 asks each partition for ⌈k/6⌉ > N results, so every
+  // round-1 list holds its whole partition and round 2 searches none.
+  test("queryBatch searches no partition in round 2 when k > N") {
+    val idx = Repose.build(spark, rdd, Hausdorff, ReposeConfig(delta = 1.0, numPartitions = 6))
+    try {
+      val qs = Array(TestUtils.randomQuery(8, seed = 389L), trajs(3).points)
+      val k = 2 * trajs.length
+      qs.foreach(q => assert(!round2Mask(idx, q, k).contains(true)))
+      qs.zip(idx.queryBatch(qs, k)).foreach { case (q, got) =>
+        TestUtils.assertTopKEqual(got, TestUtils.bruteTopK(trajs, q, k, Hausdorff), trajs, q, Hausdorff)
+      }
+    } finally idx.unpersist()
   }
 
   test("LS queryBatch matches brute force per query") {
