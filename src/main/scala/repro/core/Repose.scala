@@ -69,10 +69,10 @@ object Repose {
       * query's search saves.
       */
     def query(q: Array[Point], k: Int): Array[(Long, Double)] = {
-      val rows = indexedJob(rdd, withPivotDistances(Array(q), k)) { case (_, rp, (q, dqp)) =>
+      val rows = batchJob(rdd, withPivotDistances(Array(q), k)) { case (rp, (q, dqp)) =>
         LocalSearch.topK(rp.index, rp.trajs, q, dqp, k, new LocalSearch.Stats, TopK.Unbounded)
       }
-      TopK.merge(k, rows.iterator.map(_._2.head))
+      mergeRows(rows, 1, k).head
     }
 
     /** Exact top-k for a batch of queries in two Spark jobs. Every partition
