@@ -166,13 +166,14 @@ object Repose {
     * shorter than k₁ (it holds the whole partition) or its last pair is
     * strictly above (θ, id_θ) (it holds every pair up to the bound); only
     * an incomplete one is searched. Under `TopK.Unbounded` only a short list
-    * is complete.
+    * is complete, even one that ends at a NaN distance, which sorts above
+    * (+∞, `Long.MaxValue`) but was not bounded by it.
     */
   private[repro] def needsRound2(local: Array[(Long, Double)], k1: Int, bound: (Double, Long)): Boolean =
-    local.length >= k1 && {
+    local.length >= k1 && (bound == TopK.Unbounded || {
       val (id, d) = local(local.length - 1)
       TopK.order.compare((d, id), bound) <= 0
-    }
+    })
 
   /** The one batched-query job: broadcasts the batch, and each element e of
     * partition p gives one row (p, `search`'s answers to every query) in

@@ -266,6 +266,7 @@ class ReposeSuite extends SparkSpec {
     // Unbounded (round 1 found fewer than k): only a short list is complete.
     assert(Repose.needsRound2(local, 3, TopK.Unbounded))
     assert(Repose.needsRound2(Array(1L -> Double.MaxValue), 1, TopK.Unbounded))
+    assert(Repose.needsRound2(Array(1L -> Double.NaN), 1, TopK.Unbounded))
     assert(!Repose.needsRound2(local, 4, TopK.Unbounded))
   }
 
