@@ -29,14 +29,10 @@ import repro.data.{Datasets, TrajGen}
   * once and pass them to every trie's search, as `Repose.Index` does:
   *  - single-threaded, one query after another over all 16 tries and the
   *    merge; the p50 and p90 are over every query of every warm repeat;
-  *  - as a batch in the two rounds of `Repose.Index.queryBatch`: 16 tasks,
-  *    one per trie, on 4 threads, answer every query at ⌈k/16⌉ and are
-  *    merged per query; 16 more answer every query at k where
-  *    `Repose.needsRound2` marks the trie's round-1 list incomplete, each
-  *    search bounded by its query's merged k-th pair (θ, id_θ), and the
-  *    round-2 lists of searched tries and the round-1 lists of the others
-  *    are merged again. `r2_searched` is the share of (query, trie) pairs
-  *    round 2 searches.
+  *  - as a batch through `Repose.twoRoundTopK`, the plan of
+  *    `Repose.Index.queryBatch`, each round 16 tasks, one per trie, on 4
+  *    threads. `r2_searched` is the share of (query, trie) pairs round 2
+  *    searches.
   * Each mode makes one untimed warm pass and then 5 timed ones. It prints
   * the figures and `LocalSearch.Stats` per query: the single-threaded
   * (one-round) search's, then each batch round's (`r1_`, `r2_`). It appends
@@ -126,39 +122,34 @@ object LocalSearchBench {
       (ms, answers)
     }
     val pool = Executors.newFixedThreadPool(Threads)
-    // One round of the batch, one task per trie: row p holds trie p's top-k
-    // of every query i with `search(p)(i)` (else an empty list), each search
-    // bounded by its query's entry of `bounds`; every task's counters are
-    // added to `stats`.
-    def round(k: Int, dq: Array[Array[Double]], bounds: Array[(Double, Long)], search: Array[Array[Boolean]],
-        stats: LocalSearch.Stats): Array[Array[Array[(Long, Double)]]] = {
-      val tasks = parts.indices.map { p =>
-        val (trie, ts) = parts(p)
-        new Callable[(Array[Array[(Long, Double)]], LocalSearch.Stats)] {
-          def call() = {
-            val s = new LocalSearch.Stats
-            (Array.tabulate(nq) { i =>
-              if (search(p)(i)) LocalSearch.topK(trie, ts, qs(i), dq(i), k, s, bounds(i))
-              else Array.empty[(Long, Double)]
-            }, s)
+    // Both rounds of `Repose.twoRoundTopK`, each one task per trie: task p
+    // answers every query i with `searched(i)(p)` (else an empty list) and
+    // adds its counters to its round's stats. Returns the answers and the
+    // number of (query, trie) pairs round 2 searched.
+    def batch(r1: LocalSearch.Stats, r2: LocalSearch.Stats): (Array[Array[(Long, Double)]], Int) = {
+      val dq = qs.map(LocalSearch.pivotDistances(measure, pivots, _))
+      val roundStats = Iterator(r1, r2)
+      var searchedPairs = 0
+      val answers = Repose.twoRoundTopK(nq, K, Partitions) { (k, bounds, searched) =>
+        val stats = roundStats.next()
+        searchedPairs = searched.map(_.count(identity)).sum
+        val tasks = parts.indices.map { p =>
+          val (trie, ts) = parts(p)
+          new Callable[(Int, Array[Array[(Long, Double)]], LocalSearch.Stats)] {
+            def call() = {
+              val s = new LocalSearch.Stats
+              (p, Array.tabulate(nq) { i =>
+                if (searched(i)(p)) LocalSearch.topK(trie, ts, qs(i), dq(i), k, s, bounds(i))
+                else Array.empty[(Long, Double)]
+              }, s)
+            }
           }
         }
+        val rows = pool.invokeAll(tasks.asJava).asScala.map(_.get()).toArray
+        rows.foreach { case (_, _, s) => addTo(stats, s) }
+        rows.map { case (p, lists, _) => (p, lists) }
       }
-      val rows = pool.invokeAll(tasks.asJava).asScala.map(_.get()).toArray
-      rows.foreach { case (_, s) => addTo(stats, s) }
-      rows.map(_._1)
-    }
-    // Both rounds; returns the answers and the number of (query, trie)
-    // pairs round 2 searched.
-    def batch(r1: LocalSearch.Stats, r2: LocalSearch.Stats): (Array[Array[(Long, Double)]], Int) = {
-      val k1 = (K + Partitions - 1) / Partitions
-      val dq = qs.map(LocalSearch.pivotDistances(measure, pivots, _))
-      val first = round(k1, dq, Array.fill(nq)(TopK.Unbounded), Array.fill(Partitions, nq)(true), r1)
-      val bounds = Array.tabulate(nq)(i => TopK.boundOf(K, TopK.merge(K, first.iterator.map(_(i)))))
-      val need = Array.tabulate(Partitions, nq)((p, i) => Repose.needsRound2(first(p)(i), k1, bounds(i)))
-      val second = round(K, dq, bounds, need, r2)
-      (Array.tabulate(nq)(i => TopK.merge(K, parts.indices.iterator.map(p => if (need(p)(i)) second(p)(i) else first(p)(i)))),
-        need.map(_.count(identity)).sum)
+      (answers, searchedPairs)
     }
 
     try {

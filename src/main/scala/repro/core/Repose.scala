@@ -36,7 +36,7 @@ final case class ReposeConfig(
   * best-first local search in every partition and merges the per-partition
   * top-k on the driver with `collect`; `queryBatch` does so twice, the
   * second round bounded by the first and run only in the partitions the
-  * first left incomplete (see DESIGN.md, *Two-round batches*). Both ship
+  * first left incomplete (`twoRoundTopK`). Both ship
   * each query's distances to the global pivots, computed on the driver.
   */
 object Repose {
@@ -75,48 +75,25 @@ object Repose {
       mergeRows(rows, 1, k).head
     }
 
-    /** Exact top-k for a batch of queries in two Spark jobs. Every partition
-      * answers every query locally and the driver merges per query, twice:
-      *  - round 1 asks each partition for its top-k₁, k₁ = ⌈k/P⌉ and P =
-      *    `cfg.numPartitions`, and merges them into the union's top-k;
-      *  - when that union holds k results, its last pair (θ, id_θ) is at or
-      *    above the global k-th pair, so round 2's top-k search starts with
-      *    it as its admission bound (`LocalSearch.topK`'s `bound`); with
-      *    fewer, round 2 runs unbounded;
-      *  - round 2 searches a partition for a query only where round 1 left
-      *    its list incomplete (`needsRound2`); a complete list already holds
-      *    every pair of the partition up to (θ, id_θ), so the final merge
-      *    takes it in place of a second search.
-      * Each query's pivot distances are computed once, on the driver, and
-      * shipped with it. Batching amortizes both jobs' launch overhead across
-      * the workload, which is how a 100-query evaluation set is processed.
+    /** Exact top-k for a batch of queries in two Spark jobs, the two rounds
+      * of `twoRoundTopK`: each round broadcasts every query with its bound
+      * and the partitions to search, and each partition answers the queries
+      * that mark it. Each query's pivot distances are computed once, on the
+      * driver, and shipped with it. Batching amortizes both jobs' launch
+      * overhead across the workload, which is how a 100-query evaluation set
+      * is processed.
       *
       * Throws `IllegalArgumentException` on the driver, before any job runs,
       * when k < 1 or a query is empty or has a non-finite coordinate.
       */
     def queryBatch(qs: Array[Array[Point]], k: Int): Array[Array[(Long, Double)]] = {
       val in = withPivotDistances(qs, k)
-      val k1 = ((k.toLong + cfg.numPartitions - 1) / cfg.numPartitions).toInt
-      val first = indexedJob(rdd, in) { case (_, rp, (q, dqp)) =>
-        LocalSearch.topK(rp.index, rp.trajs, q, dqp, k1, new LocalSearch.Stats, TopK.Unbounded)
-      }
-      val bounds = mergeRows(first.map(_._2), qs.length, k).map(TopK.boundOf(k, _))
-      // searched(qi)(p): whether round 2 searches partition p for query qi.
-      val searched = Array.tabulate(qs.length) { qi =>
-        val s = new Array[Boolean](rdd.getNumPartitions)
-        first.foreach { case (p, lists) => s(p) = needsRound2(lists(qi), k1, bounds(qi)) }
-        s
-      }
-      val second = indexedJob(rdd, Array.tabulate(qs.length)(qi => (in(qi), bounds(qi), searched(qi)))) {
-        case (p, rp, ((q, dqp), bound, s)) =>
-          if (s(p)) LocalSearch.topK(rp.index, rp.trajs, q, dqp, k, new LocalSearch.Stats, bound)
-          else Array.empty[(Long, Double)]
-      }
-      val firstOf = first.toMap
-      Array.tabulate(qs.length) { qi =>
-        TopK.merge(k, second.iterator.map { case (p, lists) =>
-          if (searched(qi)(p)) lists(qi) else firstOf(p)(qi)
-        })
+      twoRoundTopK(qs.length, k, rdd.getNumPartitions) { (kr, bounds, searched) =>
+        indexedJob(rdd, Array.tabulate(qs.length)(qi => (in(qi), bounds(qi), searched(qi)))) {
+          case (p, rp, ((q, dqp), bound, s)) =>
+            if (s(p)) LocalSearch.topK(rp.index, rp.trajs, q, dqp, kr, new LocalSearch.Stats, bound)
+            else Array.empty[(Long, Double)]
+        }
       }
     }
 
@@ -158,6 +135,44 @@ object Repose {
     require(k >= 1, s"k must be at least 1, got $k")
     qs.indices.foreach(qi =>
       require(isValid(qs(qi)), s"query $qi is empty or has a non-finite coordinate"))
+  }
+
+  /** The driver's side of `Index.queryBatch`, free of Spark: exact top-k
+    * of `n` queries over `parts` partitions in two calls of `runRound`.
+    * `runRound(k, bounds, searched)` gives one row (p, lists) per non-empty
+    * partition p, where lists(qi) is p's top-k of query qi bounded by
+    * bounds(qi) (`LocalSearch.topK`'s `bound`) if searched(qi)(p), and any
+    * list otherwise (it is not read).
+    *  - Round 1 searches every partition at k₁ = ⌈k/P⌉, P = `parts`,
+    *    unbounded, and merges the lists per query into the union's top-k.
+    *  - When that union holds k results, its last pair (θ, id_θ) is at or
+    *    above the global k-th pair (`TopK.boundOf`), so round 2 starts its
+    *    top-k searches with it as their bound; with fewer, unbounded.
+    *  - Round 2 searches a partition for a query only where round 1 left
+    *    its list incomplete (`needsRound2`); a complete list already holds
+    *    every pair of the partition up to (θ, id_θ), so the final merge
+    *    takes it in place of a second search.
+    * See DESIGN.md, *Two-round batches*.
+    */
+  private[repro] def twoRoundTopK(n: Int, k: Int, parts: Int)(
+      runRound: (Int, Array[(Double, Long)], Array[Array[Boolean]]) => Array[(Int, Array[Array[(Long, Double)]])],
+  ): Array[Array[(Long, Double)]] = {
+    val k1 = ((k.toLong + parts - 1) / parts).toInt
+    val first = runRound(k1, Array.fill(n)(TopK.Unbounded), Array.fill(n, parts)(true))
+    val bounds = mergeRows(first.map(_._2), n, k).map(TopK.boundOf(k, _))
+    // searched(qi)(p): whether round 2 searches partition p for query qi.
+    val searched = Array.tabulate(n) { qi =>
+      val s = new Array[Boolean](parts)
+      first.foreach { case (p, lists) => s(p) = needsRound2(lists(qi), k1, bounds(qi)) }
+      s
+    }
+    val second = runRound(k, bounds, searched)
+    val firstOf = first.toMap
+    Array.tabulate(n) { qi =>
+      TopK.merge(k, second.iterator.map { case (p, lists) =>
+        if (searched(qi)(p)) lists(qi) else firstOf(p)(qi)
+      })
+    }
   }
 
   /** Whether round 2 of `queryBatch` must search a partition whose round-1

@@ -4,6 +4,7 @@ import scala.util.Random
 
 import repro.core._
 import repro.core.rptrie.RPTrie
+import repro.core.search.LocalSearch
 
 /** Shared helpers for unit and integration tests. */
 object TestUtils {
@@ -93,6 +94,21 @@ object TestUtils {
       optimized: Boolean = true,
   ): RPTrie =
     RPTrie.build(trajs, grid, measure, RPTrie.selectPivots(trajs, measure, np, 10, 42L), optimized)
+
+  /** One round of `Repose.twoRoundTopK` run in turn over in-memory
+    * partitions (p, trie, trajectories): a partition answers query qi at k,
+    * bounded by bounds(qi), where searched(qi)(p), and returns an empty list
+    * where not.
+    */
+  def runRound(parts: Seq[(Int, RPTrie, Array[Trajectory])], qs: Array[Array[Point]])(
+      k: Int, bounds: Array[(Double, Long)], searched: Array[Array[Boolean]],
+  ): Array[(Int, Array[Array[(Long, Double)]])] =
+    parts.map { case (p, trie, ts) =>
+      p -> Array.tabulate(qs.length) { qi =>
+        if (searched(qi)(p)) LocalSearch.topK(trie, ts, qs(qi), k, bound = bounds(qi))
+        else Array.empty[(Long, Double)]
+      }
+    }.toArray
 
   /** The run of z-labels on the edge into trie node `v`. */
   def run(trie: RPTrie, v: Int): Seq[Int] =

@@ -270,13 +270,16 @@ class ReposeSuite extends SparkSpec {
     assert(!Repose.needsRound2(local, 4, TopK.Unbounded))
   }
 
-  // Round 1 replayed over the collected partitions: whether round 2 of
-  // `queryBatch` searches each partition for q.
+  // `queryBatch`'s plan replayed over the collected partitions: whether
+  // round 2 searches each non-empty partition for q.
   private def round2Mask(idx: Repose.Index, q: Array[Point], k: Int): Seq[Boolean] = {
-    val k1 = (k + idx.cfg.numPartitions - 1) / idx.cfg.numPartitions
-    val lists = idx.rdd.collect().map(rp => LocalSearch.topK(rp.index, rp.trajs, q, k1))
-    val bound = TopK.boundOf(k, TopK.merge(k, lists.iterator))
-    lists.map(Repose.needsRound2(_, k1, bound)).toSeq
+    val parts = idx.rdd.mapPartitionsWithIndex((p, it) => it.map(rp => (p, rp.index, rp.trajs))).collect()
+    var mask = Array.empty[Boolean]
+    Repose.twoRoundTopK(1, k, idx.rdd.getNumPartitions) { (kr, bounds, searched) =>
+      mask = searched(0)
+      TestUtils.runRound(parts.toSeq, Array(q))(kr, bounds, searched)
+    }
+    parts.map { case (p, _, _) => mask(p) }.toSeq
   }
 
   // Clustered placement: partitions whose clusters are far from a query hold
