@@ -8,7 +8,7 @@ import repro.baselines.LinearSearch
 import repro.baselines.dft.DFT
 import repro.baselines.dita.DITA
 import repro.core._
-import repro.core.partition.{Heterogeneous, PartitionStrategy, RandomPartitioning}
+import repro.core.partition.{Heterogeneous, PartitionStrategy}
 import repro.data.{Datasets, TrajGen}
 
 /** Shared measurement harness for the Table IV–IX benches and jobs.
@@ -82,7 +82,7 @@ object Harness {
       queries: Array[Trajectory],
   ): Cell = {
     val trajs = dataset(spark, spec)
-    val idx = LinearSearch.build(trajs, measure, Partitions, RandomPartitioning)
+    val idx = LinearSearch.build(trajs, measure, Partitions)
     idx.queryBatch(queries.take(2).map(_.points), K)
     val (_, qt) = timeSec(idx.queryBatch(queries.map(_.points), K))
     idx.unpersist()

@@ -4,7 +4,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 
 import repro.core.{Measure, Point, Repose, Trajectory}
-import repro.core.partition.{GlobalPartitioning, PartitionStrategy, RandomPartitioning}
+import repro.core.partition.{GlobalPartitioning, RandomPartitioning}
 import repro.core.search.TopK
 
 /** Baseline LS (§VII-A): brute-force distributed linear search — each
@@ -36,17 +36,16 @@ object LinearSearch {
     def unpersist(): Unit = rdd.unpersist(blocking = true)
   }
 
-  /** Materialize the partitioned trajectory arrays (no index — the paper
-    * reports "/" for LS index size and construction time).
+  /** Materialize the trajectory arrays, placed by random partitioning (no
+    * index — the paper reports "/" for LS index size and construction time).
     */
   def build(
       trajs: RDD[Trajectory],
       measure: Measure,
       numPartitions: Int,
-      strategy: PartitionStrategy = RandomPartitioning,
   ): Index = {
     val mbr = Repose.datasetMbr(trajs)
-    val assigned = GlobalPartitioning.assign(trajs, strategy, numPartitions, mbr)
+    val assigned = GlobalPartitioning.assign(trajs, RandomPartitioning, numPartitions, mbr)
     val rdd = GlobalPartitioning
       .partitioned(assigned, numPartitions)
       .mapPartitions(it => Iterator.single(it.toArray))

@@ -2,8 +2,8 @@ package repro.baselines.dft
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
-import scala.util.Random
 
+import repro.baselines.ThresholdSearch
 import repro.core.{MBR, Measure, Point, Repose, Trajectory, ZGrid}
 import repro.core.search.TopK
 
@@ -23,15 +23,10 @@ import repro.core.search.TopK
   */
 object DFT {
 
-  /** C of the C·k threshold sample, and the seed that draws it. */
-  private final val C = 5
-  private final val QuerySeed = 7L
-  /** Size and seed of the build-time pool the threshold sample comes from. */
-  private final val SamplePoolSize = 2000
-  private final val SampleSeed = 11L
-
-  /** Per-partition segment index: packed R-tree + (tid, segment MBR) rows. */
-  final case class SegPart(tree: RTree, tids: Array[Long], mbrs: Array[MBR])
+  /** Per-partition segment index: packed R-tree over the segment MBRs and
+    * each segment's tid.
+    */
+  final case class SegPart(tree: RTree, tids: Array[Long])
 
   final class Index(
       val segParts: RDD[SegPart],
@@ -57,48 +52,34 @@ object DFT {
     def query(q: Array[Point], k: Int): Array[(Long, Double)] = {
       Repose.requireQueries(Array(q), k)
       if (k >= segCounts.size) return exactTopK(q, k, _ => true) // evaluate all
-      val rnd = new Random(QuerySeed)
-      val sample = rnd.shuffle(samplePool.toVector).take(C * k).toArray
-      val sampleDists = sample.map(t => measure.dist(q, t.points)).sorted
-      var theta = sampleDists(math.min(k - 1, sampleDists.length - 1))
-      if (theta <= 0.0) theta = 1e-12
-
       val sc = segParts.sparkContext
       val qB = sc.broadcast(q)
       val countsB = sc.broadcast(segCounts)
-      try {
-        var result: Array[(Long, Double)] = null
-        while (result == null) {
-          val th = theta
-          val candidates = segParts
-            .flatMap { part =>
-              val hits = scala.collection.mutable.HashMap.empty[Long, Int]
-              part.tree.searchWithin(qB.value, th) { e =>
-                val t = part.tids(e)
-                hits.update(t, hits.getOrElse(t, 0) + 1)
-              }
-              hits.iterator
+      try ThresholdSearch.doubling(ThresholdSearch.initialTheta(samplePool, measure, q, k), k) { th =>
+        val candidates = segParts
+          .flatMap { part =>
+            val hits = scala.collection.mutable.HashMap.empty[Long, Int]
+            part.tree.searchWithin(qB.value, th) { e =>
+              val t = part.tids(e)
+              hits.update(t, hits.getOrElse(t, 0) + 1)
             }
-            .reduceByKey(_ + _)
-            .filter { case (tid, cnt) => cnt == countsB.value(tid) }
-            .keys
-            .collect()
-            .toSet
-
-          if (candidates.size >= k) {
-            val candB = sc.broadcast(candidates)
-            val topk = try exactTopK(q, k, tid => candB.value.contains(tid)) finally candB.destroy()
-            // Pruned trajectories all have distance > θ, so the answer is only
-            // final once the k-th candidate distance is within θ.
-            if (topk.length >= k && topk(k - 1)._2 <= th) result = topk
-            else theta *= 2
-          } else theta *= 2
+            hits.iterator
+          }
+          .reduceByKey(_ + _)
+          .filter { case (tid, cnt) => cnt == countsB.value(tid) }
+          .keys
+          .collect()
+          .toSet
+        // Fewer than k candidates: double θ without an exact step.
+        if (candidates.size < k) Array.empty[(Long, Double)]
+        else {
+          val candB = sc.broadcast(candidates)
+          try exactTopK(q, k, tid => candB.value.contains(tid)) finally candB.destroy()
         }
-        result
       } finally { qB.destroy(); countsB.destroy() }
     }
 
-    /** IS metric: segment R-trees + MBR rows + the dual-index copy. */
+    /** IS metric: segment R-trees and tids + the dual-index copy. */
     def indexBytes: Long = {
       val segBytes = segParts
         .map(p => org.apache.spark.util.SizeEstimator.estimate(p))
@@ -172,9 +153,7 @@ object DFT {
         val rows = it.toArray
         if (rows.isEmpty) Iterator.empty
         else {
-          val tids = rows.map(_._1)
-          val mbrs = rows.map(_._2)
-          Iterator.single(SegPart(RTree.pack(mbrs), tids, mbrs))
+          Iterator.single(SegPart(RTree.pack(rows.map(_._2)), rows.map(_._1)))
         }
       }
       .persist(StorageLevel.MEMORY_ONLY)
@@ -187,9 +166,6 @@ object DFT {
       .persist(StorageLevel.MEMORY_ONLY)
     dual.count()
 
-    val samplePool = trajs.takeSample(withReplacement = false,
-      math.min(SamplePoolSize, segCounts.size), SampleSeed)
-
-    new Index(segParts, dual, segCounts, samplePool, measure)
+    new Index(segParts, dual, segCounts, ThresholdSearch.samplePool(trajs, segCounts.size), measure)
   }
 }

@@ -2,8 +2,8 @@ package repro.baselines.dita
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
-import scala.util.Random
 
+import repro.baselines.ThresholdSearch
 import repro.core.{MBR, Measure, Point, Repose, Trajectory, Frechet, DTW}
 import repro.core.partition.{GlobalPartitioning, IdPartitioner}
 import repro.core.search.TopK
@@ -34,12 +34,6 @@ object DITA {
   private final val NL = 32
   /** Grid cells per side of the first/last-point trie levels. */
   private final val CellsPerSide = 32
-  /** C of the C·k threshold sample, and the seed that draws it. */
-  private final val C = 5
-  private final val QuerySeed = 7L
-  /** Size and seed of the build-time pool the threshold sample comes from. */
-  private final val SamplePoolSize = 2000
-  private final val SampleSeed = 11L
 
   final case class Entry(tid: Int, first: Point, last: Point, pmbr: MBR, len: Int)
   final case class Node2(lastMbr: MBR, entries: Array[Entry])
@@ -104,27 +98,17 @@ object DITA {
     def query(q: Array[Point], k: Int): Array[(Long, Double)] = {
       Repose.requireQueries(Array(q), k)
       if (k >= total) return refine(q, Double.MaxValue, k)
-      val rnd = new Random(QuerySeed)
-      val sample = rnd.shuffle(samplePool.toVector).take(C * k).toArray
-      val dists = sample.map(t => measure.dist(q, t.points)).sorted
       // Halve while the index still reports more than C·k candidates and the
       // halved threshold keeps at least k; each step runs one count.
       @annotation.tailrec
       def halve(theta: Double, cnt: Long): Double =
-        if (cnt <= C.toLong * k) theta
+        if (cnt <= ThresholdSearch.C.toLong * k) theta
         else {
           val half = count(q, theta / 2)
           if (half >= k) halve(theta / 2, half) else theta
         }
-      val theta0 = math.max(dists(math.min(k - 1, dists.length - 1)), 1e-12)
-      var theta = halve(theta0, count(q, theta0))
-      var result: Array[(Long, Double)] = null
-      while (result == null) {
-        val topk = refine(q, theta, k)
-        if (topk.length >= k && topk(k - 1)._2 <= theta) result = topk
-        else theta *= 2
-      }
-      result
+      val theta0 = ThresholdSearch.initialTheta(samplePool, measure, q, k)
+      ThresholdSearch.doubling(halve(theta0, count(q, theta0)), k)(refine(q, _, k))
     }
 
     /** IS metric: the per-partition tries (entries, MBRs) — trajectories are
@@ -210,8 +194,6 @@ object DITA {
       }
       .persist(StorageLevel.MEMORY_ONLY)
     parts.count()
-    val samplePool = trajs.takeSample(withReplacement = false,
-      math.min(SamplePoolSize, total).toInt, SampleSeed)
-    new Index(parts, measure, samplePool, total)
+    new Index(parts, measure, ThresholdSearch.samplePool(trajs, total), total)
   }
 }

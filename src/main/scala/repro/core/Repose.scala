@@ -15,17 +15,19 @@ import repro.core.search.{LocalSearch, TopK}
   */
 final case class RpTraj(trajs: Array[Trajectory], index: RPTrie)
 
-/** Configuration of the REPOSE framework (§VII defaults: N_p = 5, optimized
-  * trie on, 64 partitions on the 16×4-core cluster — here sized for local[*]).
+/** Configuration of the REPOSE framework (§VII defaults: N_p = 5, 64
+  * partitions on the 16×4-core cluster — here sized for local[*]). Every
+  * trie is the optimized one (§III-C). Throws `IllegalArgumentException`
+  * when `numPartitions` < 1.
   */
 final case class ReposeConfig(
     delta: Double,
     np: Int = 5,
     numPartitions: Int = 16,
     strategy: PartitionStrategy = Heterogeneous,
-    optimizedTrie: Boolean = true,
-    seed: Long = 42L,
-)
+) {
+  require(numPartitions >= 1, s"numPartitions must be at least 1, got $numPartitions")
+}
 
 /** The REPOSE distributed in-memory framework (§V).
   *
@@ -47,6 +49,9 @@ object Repose {
     * when it picks the global pivots (§III-B).
     */
   private val PivotGroups = 10
+
+  /** Seed of the pivot sample and of `selectPivots`' groups. */
+  private val PivotSeed = 42L
 
   final class Index(
       val rdd: RpTrieRDD,
@@ -178,16 +183,16 @@ object Repose {
   /** Whether round 2 of `queryBatch` must search a partition whose round-1
     * list is `local`, its top-k₁ in (distance, id) order, given the bound
     * (θ, id_θ) round 1 gave its query. A list is complete when it is
-    * shorter than k₁ (it holds the whole partition) or its last pair is
-    * strictly above (θ, id_θ) (it holds every pair up to the bound); only
-    * an incomplete one is searched. Under `TopK.Unbounded` only a short list
+    * shorter than k₁ (it holds the whole partition) or its last pair is at
+    * or above (θ, id_θ) (it holds every pair up to the bound); only an
+    * incomplete one is searched. Under `TopK.Unbounded` only a short list
     * is complete, even one that ends at a NaN distance, which sorts above
     * (+∞, `Long.MaxValue`) but was not bounded by it.
     */
   private[repro] def needsRound2(local: Array[(Long, Double)], k1: Int, bound: (Double, Long)): Boolean =
     local.length >= k1 && (bound == TopK.Unbounded || {
       val (id, d) = local(local.length - 1)
-      TopK.order.compare((d, id), bound) <= 0
+      TopK.order.compare((d, id), bound) < 0
     })
 
   /** The one batched-query job: broadcasts the batch, and each element e of
@@ -261,20 +266,19 @@ object Repose {
       if (!measure.isMetric || cfg.np <= 0) Array.empty[Array[Point]]
       else {
         val sampleSize = math.max(cfg.np * 20, 100)
-        val sample = trajs.takeSample(withReplacement = false, sampleSize, cfg.seed)
-        RPTrie.selectPivots(sample, measure, cfg.np, PivotGroups, cfg.seed)
+        val sample = trajs.takeSample(withReplacement = false, sampleSize, PivotSeed)
+        RPTrie.selectPivots(sample, measure, cfg.np, PivotGroups, PivotSeed)
       }
 
     val assigned = GlobalPartitioning.assign(trajs, cfg.strategy, cfg.numPartitions, mbr)
     val part = GlobalPartitioning.partitioned(assigned, cfg.numPartitions)
-    val optimized = cfg.optimizedTrie
     val rdd: RpTrieRDD = part
       .mapPartitions { it =>
         val arr = it.toArray
         if (arr.isEmpty) Iterator.empty
         else {
           // Partition-local ids are array indices; global ids live in Trajectory.id.
-          val trie = RPTrie.build(arr, grid, measure, pivots, optimized)
+          val trie = RPTrie.build(arr, grid, measure, pivots)
           Iterator.single(RpTraj(arr, trie))
         }
       }

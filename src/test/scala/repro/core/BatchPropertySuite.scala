@@ -9,8 +9,7 @@ import repro.core.partition.{Heterogeneous, Homogeneous, RandomPartitioning}
   * and several partition counts: `Repose.build` and both rounds, including
   * round 2's skip of the partitions round 1 left complete and the unbounded
   * fallback, must return the brute-force top-k element for element. Each
-  * case draws its data, queries, k values, δ and pivot seed from its own
-  * fixed seed.
+  * case draws its data, queries, k values and δ from its own fixed seed.
   */
 class BatchPropertySuite extends SparkSpec {
 
@@ -28,8 +27,7 @@ class BatchPropertySuite extends SparkSpec {
         trajs(rnd.nextInt(trajs.length)).points
       val ks = Seq(1, 2 + rnd.nextInt(10), 12 + rnd.nextInt(40), trajs.length + 1)
       measures.foreach { m =>
-        val cfg = ReposeConfig(delta = if (rnd.nextBoolean()) 0.5 else 1.0, numPartitions = parts,
-          strategy = st, seed = rnd.nextLong())
+        val cfg = ReposeConfig(delta = if (rnd.nextBoolean()) 0.5 else 1.0, numPartitions = parts, strategy = st)
         val idx = Repose.build(spark, data, m, cfg)
         try for (k <- ks; (q, got) <- qs.zip(idx.queryBatch(qs, k))) withClue(s"${m.name}, k = $k: ") {
           TestUtils.assertTopKEqual(got, TestUtils.bruteTopK(trajs, q, k, m), trajs, q, m)

@@ -7,6 +7,7 @@ import repro.baselines.LinearSearch
 import repro.baselines.dft.DFT
 import repro.baselines.dita.DITA
 import repro.core.partition.{Heterogeneous, Homogeneous, RandomPartitioning}
+import repro.core.rptrie.RPTrie
 import repro.core.search.{LocalSearch, TopK}
 
 /** End-to-end REPOSE tests: the distributed pipeline (partition → per-
@@ -60,17 +61,17 @@ class ReposeSuite extends SparkSpec {
     } finally idx.unpersist()
   }
 
+  // The paper counts per-label nodes: one per run label, plus the root.
   test("optimized trie reduces total node count for Hausdorff (Fig. 7 effect)") {
-    val a = Repose.build(spark, rdd, Hausdorff,
-      ReposeConfig(delta = 1.0, numPartitions = 4, optimizedTrie = true))
-    val b = Repose.build(spark, rdd, Hausdorff,
-      ReposeConfig(delta = 1.0, numPartitions = 4, optimizedTrie = false))
-    try {
-      // The paper counts per-label nodes: one per run label, plus the root.
-      def labelNodes(idx: Repose.Index) =
-        idx.rdd.map(rp => rp.index.numLabels + 1L).fold(0L)(_ + _)
-      assert(labelNodes(a) <= labelNodes(b))
-    } finally { a.unpersist(); b.unpersist() }
+    val idx = Repose.build(spark, rdd, Hausdorff, ReposeConfig(delta = 1.0, numPartitions = 4))
+    try idx.rdd.collect().foreach { rp =>
+      val plain = RPTrie.build(rp.trajs, idx.grid, Hausdorff, idx.pivots, optimized = false)
+      assert(rp.index.numLabels <= plain.numLabels)
+    } finally idx.unpersist()
+  }
+
+  test("ReposeConfig rejects fewer than one partition") {
+    Seq(0, -1).foreach(n => assertThrows[IllegalArgumentException](ReposeConfig(delta = 1.0, numPartitions = n)))
   }
 
   test("indexBytes is positive and grows with data") {
@@ -257,9 +258,10 @@ class ReposeSuite extends SparkSpec {
     // Shorter than k₁: the whole partition, whatever the bound.
     assert(!Repose.needsRound2(local, 4, (0.5, 0L)))
     assert(!Repose.needsRound2(Array.empty, 1, (0.5, 0L)))
-    // Its last pair is (θ, id_θ) itself, not strictly above it: searched.
-    assert(Repose.needsRound2(local, 3, (4.0, 5L)))
+    // Its last pair is below (θ, id_θ): searched.
     assert(Repose.needsRound2(local, 3, (4.5, 0L)))
+    // Its last pair is (θ, id_θ) itself, a sorted prefix up to the bound.
+    assert(!Repose.needsRound2(local, 3, (4.0, 5L)))
     // Its last pair is strictly above (θ, id_θ), also only by id.
     assert(!Repose.needsRound2(local, 3, (4.0, 4L)))
     assert(!Repose.needsRound2(local, 3, (3.5, 9L)))
@@ -286,7 +288,7 @@ class ReposeSuite extends SparkSpec {
   // few pairs up to θ, so their round-1 lists end above it and round 2 skips
   // them. None of these k is a multiple of 6: at k = 6·k₁ the union of the
   // six full lists holds exactly k pairs, every list ends at or below θ, and
-  // round 2 searches every partition.
+  // round 2 skips only the one that ends at θ.
   test("queryBatch is exact when round 2 skips some partitions and searches others (Homogeneous)") {
     val idx = Repose.build(spark, rdd, Frechet,
       ReposeConfig(delta = 1.0, numPartitions = 6, strategy = Homogeneous))
