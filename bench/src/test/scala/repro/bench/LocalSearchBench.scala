@@ -122,11 +122,10 @@ object LocalSearchBench {
       (ms, answers)
     }
     val pool = Executors.newFixedThreadPool(Threads)
-    // Both rounds of `Repose.twoRoundTopK`, each one task per trie: task p
-    // answers every query i with `searched(i)(p)` (else an empty list) and
-    // adds its counters to its round's stats. Returns the answers and the
-    // number of (query, trie) pairs round 2 searched.
-    def batch(r1: LocalSearch.Stats, r2: LocalSearch.Stats): (Array[Array[(Long, Double)]], Int) = {
+    // Both rounds of `Repose.twoRoundTopK`, each one task per trie p, whose
+    // counters go to r1(p) and r2(p). Returns the answers and the number of
+    // (query, trie) pairs round 2 searched.
+    def batch(r1: Array[LocalSearch.Stats], r2: Array[LocalSearch.Stats]): (Array[Array[(Long, Double)]], Int) = {
       val dq = qs.map(LocalSearch.pivotDistances(measure, pivots, _))
       val roundStats = Iterator(r1, r2)
       var searchedPairs = 0
@@ -135,59 +134,44 @@ object LocalSearchBench {
         searchedPairs = searched.map(_.count(identity)).sum
         val tasks = parts.indices.map { p =>
           val (trie, ts) = parts(p)
-          new Callable[(Int, Array[Array[(Long, Double)]], LocalSearch.Stats)] {
-            def call() = {
-              val s = new LocalSearch.Stats
-              (p, Array.tabulate(nq) { i =>
-                if (searched(i)(p)) LocalSearch.topK(trie, ts, qs(i), dq(i), k, s, bounds(i))
-                else Array.empty[(Long, Double)]
-              }, s)
-            }
-          }
+          (() => p -> Array.tabulate(nq) { i =>
+            if (searched(i)(p)) LocalSearch.topK(trie, ts, qs(i), dq(i), k, stats(p), bounds(i))
+            else Array.empty[(Long, Double)]
+          }): Callable[(Int, Array[Array[(Long, Double)]])]
         }
-        val rows = pool.invokeAll(tasks.asJava).asScala.map(_.get()).toArray
-        rows.foreach { case (_, _, s) => addTo(stats, s) }
-        rows.map { case (p, lists, _) => (p, lists) }
+        pool.invokeAll(tasks.asJava).asScala.map(_.get()).toArray
       }
       (answers, searchedPairs)
+    }
+    def perTrie() = Array.fill(Partitions)(new LocalSearch.Stats)
+    // `Repeats` passes of f, each after a System.gc(): (result, ms, GC ms).
+    def timed[A](f: => A): Seq[(A, Double, Double)] = Seq.fill(Repeats) {
+      System.gc()
+      val (g, s) = (gcMs(), System.nanoTime())
+      val a = f
+      (a, (System.nanoTime() - s) / 1e6, (gcMs() - g).toDouble)
     }
 
     try {
       val stats = new LocalSearch.Stats
       val (_, answers) = single(stats)
-      val singleMs = Seq.newBuilder[Double]
-      val singleGc = Seq.newBuilder[Double]
-      for (_ <- 1 to Repeats) {
-        System.gc()
-        val g = gcMs()
-        val (ms, a) = single(new LocalSearch.Stats)
-        singleGc += (gcMs() - g).toDouble
-        require(a.map(_.toSeq).toSeq == answers.map(_.toSeq).toSeq, "single-threaded answers changed between passes")
-        singleMs ++= ms
-      }
-      val (r1, r2) = (new LocalSearch.Stats, new LocalSearch.Stats)
+      val singles = timed(single(new LocalSearch.Stats))
+      require(singles.forall(_._1._2.map(_.toSeq).toSeq == answers.map(_.toSeq).toSeq),
+        "single-threaded answers changed between passes")
+      val (r1, r2) = (perTrie(), perTrie())
       val (batchAnswers, searched) = batch(r1, r2)
       require(batchAnswers.map(_.toSeq).toSeq == answers.map(_.toSeq).toSeq,
         "batch answers differ from single-threaded ones")
-      val batchMs = Seq.newBuilder[Double]
-      val batchGc = Seq.newBuilder[Double]
-      for (_ <- 1 to Repeats) {
-        System.gc()
-        val g = gcMs()
-        val s = System.nanoTime()
-        batch(new LocalSearch.Stats, new LocalSearch.Stats)
-        batchMs += (System.nanoTime() - s) / 1e6
-        batchGc += (gcMs() - g).toDouble
-      }
-      val single1 = singleMs.result()
-      val batch1 = batchMs.result()
-      def counters(st: LocalSearch.Stats): Seq[(String, Double)] = Seq(
-        "nodes_popped" -> st.nodesPopped, "nodes_pushed" -> st.nodesPushed,
-        "labels_extended" -> st.labelsExtended, "exact_dists" -> st.exactDistances,
-        "exact_before_full" -> st.exactBeforeFull, "cut_by_endpoint" -> st.cutByEndpoint,
-        "cut_by_mbr" -> st.cutByMbr, "abandoned" -> st.abandoned,
-      ).map { case (name, x) => name -> x.toDouble / nq }
-      val (c0, c1, c2) = (counters(stats), counters(r1), counters(r2))
+      val batches = timed(batch(perTrie(), perTrie()))
+      val single1 = singles.flatMap(_._1._1.toSeq)
+      val batch1 = batches.map(_._2)
+      def counters(sts: Array[LocalSearch.Stats]): Seq[(String, Double)] = Seq[(String, LocalSearch.Stats => Long)](
+        "nodes_popped" -> (_.nodesPopped), "nodes_pushed" -> (_.nodesPushed),
+        "labels_extended" -> (_.labelsExtended), "exact_dists" -> (_.exactDistances),
+        "exact_before_full" -> (_.exactBeforeFull), "cut_by_endpoint" -> (_.cutByEndpoint),
+        "cut_by_mbr" -> (_.cutByMbr), "abandoned" -> (_.abandoned),
+      ).map { case (name, f) => name -> sts.map(f).sum.toDouble / nq }
+      val (c0, c1, c2) = (counters(Array(stats)), counters(r1), counters(r2))
       val prefixed = c1.map { case (name, v) => ("r1_" + name) -> v } ++ c2.map { case (name, v) => ("r2_" + name) -> v } :+
         ("r2_searched" -> searched.toDouble / (nq * Partitions))
       val sha = git("rev-parse", "--short", "HEAD").getOrElse("unknown") +
@@ -196,9 +180,9 @@ object LocalSearchBench {
         "queries" -> nq, "k" -> K, "partitions" -> Partitions, "threads" -> Threads, "repeats" -> Repeats,
         "build_s" -> buildS,
         "single_ms_p50" -> median(single1), "single_ms_p90" -> percentile(single1, 90),
-        "single_gc_ms" -> median(singleGc.result()),
+        "single_gc_ms" -> median(singles.map(_._3)),
         "batch_ms_p50" -> median(batch1), "batch_ms_p90" -> percentile(batch1, 90),
-        "batch_qps" -> nq / (median(batch1) / 1e3), "batch_gc_ms" -> median(batchGc.result()),
+        "batch_qps" -> nq / (median(batch1) / 1e3), "batch_gc_ms" -> median(batches.map(_._3)),
       )
       val key = s"""{"dataset": "${spec.name}", "measure": "${measure.name}", "git": "$sha", "cores": $cores, """
       val entry = key + (figures ++ c0 ++ prefixed).map { case (k, v) => s""""$k": ${fmt(v)}""" }.mkString(", ") +
@@ -218,17 +202,6 @@ object LocalSearchBench {
         println(f"  $name%-18s ${fmt(median(xs))}%14s [${fmt(percentile(xs, 25))}, ${fmt(percentile(xs, 75))}]")
       }
     } finally pool.shutdown()
-  }
-
-  private def addTo(to: LocalSearch.Stats, from: LocalSearch.Stats): Unit = {
-    to.nodesPopped += from.nodesPopped
-    to.nodesPushed += from.nodesPushed
-    to.labelsExtended += from.labelsExtended
-    to.exactDistances += from.exactDistances
-    to.exactBeforeFull += from.exactBeforeFull
-    to.cutByEndpoint += from.cutByEndpoint
-    to.cutByMbr += from.cutByMbr
-    to.abandoned += from.abandoned
   }
 
   private def fmt(v: Double): String =

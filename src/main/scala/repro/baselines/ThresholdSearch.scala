@@ -5,17 +5,14 @@ import scala.util.Random
 
 import repro.core.{Measure, Point, Trajectory}
 
-/** The threshold search DFT and DITA share: θ₀ is the k-th distance in a
-  * C·k sample of a build-time pool, and θ doubles until a search within θ
-  * finds k results whose k-th is within θ.
+/** The threshold search of DFT and DITA: θ₀ from a C·k sample of a
+  * build-time pool, doubled until a search within θ finds its k-th within θ.
   */
 private[baselines] object ThresholdSearch {
 
-  /** C of the C·k threshold sample. */
+  /** C of the C·k sample and its seed; size and seed of the pool it is from. */
   final val C = 5
-  /** Seed of the C·k threshold sample. */
   private final val QuerySeed = 7L
-  /** Size and seed of the build-time pool the threshold sample comes from. */
   private final val SamplePoolSize = 2000
   private final val SampleSeed = 11L
 
@@ -23,19 +20,16 @@ private[baselines] object ThresholdSearch {
   def samplePool(trajs: RDD[Trajectory], n: Long): Array[Trajectory] =
     trajs.takeSample(withReplacement = false, math.min(SamplePoolSize, n).toInt, SampleSeed)
 
-  /** θ₀: the k-th smallest distance from q in a C·k sample of `pool`, at
-    * least 1e-12.
-    */
+  /** θ₀: the k-th distance from q in a C·k sample of `pool`, at least 1e-12. */
   def initialTheta(pool: Array[Trajectory], measure: Measure, q: Array[Point], k: Int): Double = {
     val sample = new Random(QuerySeed).shuffle(pool.toVector).take(C * k)
     val dists = sample.map(t => measure.dist(q, t.points)).sorted
     math.max(dists(math.min(k - 1, dists.length - 1)), 1e-12)
   }
 
-  /** `search(θ)`, for θ = θ₀, 2θ₀, 4θ₀, …, until it returns k results whose
-    * k-th distance is ≤ θ. `search` must return the exact top-k of the
-    * trajectories it keeps, and keep every trajectory within θ: each one it
-    * prunes is then farther than θ, so that answer is the global top-k.
+  /** `search(θ)` for θ = θ₀, 2θ₀, …, until its k-th result is ≤ θ. Given
+    * the exact top-k of a superset of the trajectories within θ, that
+    * answer is the global top-k.
     */
   @annotation.tailrec
   def doubling(theta: Double, k: Int)(search: Double => Array[(Long, Double)]): Array[(Long, Double)] = {

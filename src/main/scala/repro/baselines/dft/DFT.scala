@@ -56,20 +56,12 @@ object DFT {
       val qB = sc.broadcast(q)
       val countsB = sc.broadcast(segCounts)
       try ThresholdSearch.doubling(ThresholdSearch.initialTheta(samplePool, measure, q, k), k) { th =>
-        val candidates = segParts
-          .flatMap { part =>
-            val hits = scala.collection.mutable.HashMap.empty[Long, Int]
-            part.tree.searchWithin(qB.value, th) { e =>
-              val t = part.tids(e)
-              hits.update(t, hits.getOrElse(t, 0) + 1)
-            }
-            hits.iterator
-          }
-          .reduceByKey(_ + _)
-          .filter { case (tid, cnt) => cnt == countsB.value(tid) }
-          .keys
-          .collect()
-          .toSet
+        // A trajectory is a candidate when every one of its segments is hit.
+        val candidates = segParts.flatMap { part =>
+          val hits = scala.collection.mutable.HashMap.empty[Long, Int]
+          part.tree.searchWithin(qB.value, th)(e => hits.updateWith(part.tids(e))(c => Some(c.getOrElse(0) + 1)))
+          hits.iterator
+        }.reduceByKey(_ + _).filter { case (tid, cnt) => cnt == countsB.value(tid) }.keys.collect().toSet
         // Fewer than k candidates: double θ without an exact step.
         if (candidates.size < k) Array.empty[(Long, Double)]
         else {

@@ -15,10 +15,9 @@ import repro.core.search.{LocalSearch, TopK}
   */
 final case class RpTraj(trajs: Array[Trajectory], index: RPTrie)
 
-/** Configuration of the REPOSE framework (§VII defaults: N_p = 5, 64
-  * partitions on the 16×4-core cluster — here sized for local[*]). Every
-  * trie is the optimized one (§III-C). Throws `IllegalArgumentException`
-  * when `numPartitions` < 1.
+/** Configuration of the REPOSE framework (§VII defaults: N_p = 5, optimized
+  * trie, 64 partitions on the 16×4-core cluster — here sized for local[*]).
+  * Throws `IllegalArgumentException` when `numPartitions` < 1.
   */
 final case class ReposeConfig(
     delta: Double,
@@ -46,11 +45,10 @@ object Repose {
   type RpTrieRDD = RDD[RpTraj]
 
   /** Random candidate groups `selectPivots` scores by pairwise distance sum
-    * when it picks the global pivots (§III-B).
+    * when it picks the global pivots (§III-B), and the seed of the groups
+    * and of the sample they are drawn from.
     */
   private val PivotGroups = 10
-
-  /** Seed of the pivot sample and of `selectPivots`' groups. */
   private val PivotSeed = 42L
 
   final class Index(
@@ -80,13 +78,10 @@ object Repose {
       mergeRows(rows, 1, k).head
     }
 
-    /** Exact top-k for a batch of queries in two Spark jobs, the two rounds
-      * of `twoRoundTopK`: each round broadcasts every query with its bound
-      * and the partitions to search, and each partition answers the queries
-      * that mark it. Each query's pivot distances are computed once, on the
-      * driver, and shipped with it. Batching amortizes both jobs' launch
-      * overhead across the workload, which is how a 100-query evaluation set
-      * is processed.
+    /** Exact top-k for a batch of queries in two Spark jobs, the rounds of
+      * `twoRoundTopK`, each query shipped with its pivot distances. Batching
+      * amortizes both jobs' launch overhead across the workload, which is
+      * how a 100-query evaluation set is processed.
       *
       * Throws `IllegalArgumentException` on the driver, before any job runs,
       * when k < 1 or a query is empty or has a non-finite coordinate.
@@ -142,22 +137,14 @@ object Repose {
       require(isValid(qs(qi)), s"query $qi is empty or has a non-finite coordinate"))
   }
 
-  /** The driver's side of `Index.queryBatch`, free of Spark: exact top-k
-    * of `n` queries over `parts` partitions in two calls of `runRound`.
-    * `runRound(k, bounds, searched)` gives one row (p, lists) per non-empty
-    * partition p, where lists(qi) is p's top-k of query qi bounded by
-    * bounds(qi) (`LocalSearch.topK`'s `bound`) if searched(qi)(p), and any
-    * list otherwise (it is not read).
-    *  - Round 1 searches every partition at k₁ = ⌈k/P⌉, P = `parts`,
-    *    unbounded, and merges the lists per query into the union's top-k.
-    *  - When that union holds k results, its last pair (θ, id_θ) is at or
-    *    above the global k-th pair (`TopK.boundOf`), so round 2 starts its
-    *    top-k searches with it as their bound; with fewer, unbounded.
-    *  - Round 2 searches a partition for a query only where round 1 left
-    *    its list incomplete (`needsRound2`); a complete list already holds
-    *    every pair of the partition up to (θ, id_θ), so the final merge
-    *    takes it in place of a second search.
-    * See DESIGN.md, *Two-round batches*.
+  /** The Spark-free plan of `Index.queryBatch`: exact top-k of `n` queries
+    * over `parts` partitions. `runRound(k, bounds, searched)` gives a row
+    * (p, lists) per non-empty partition p, lists(qi) its top-k of query qi
+    * bounded by bounds(qi) where searched(qi)(p) (else not read). Round 1
+    * searches everywhere at k₁ = ⌈k/P⌉, unbounded; the union's k-th pair
+    * (θ, id_θ) bounds round 2 (`TopK.boundOf`), which searches only where
+    * round 1 left a list incomplete (`needsRound2`). The final merge takes
+    * the other partitions' round-1 lists (DESIGN.md, *Two-round batches*).
     */
   private[repro] def twoRoundTopK(n: Int, k: Int, parts: Int)(
       runRound: (Int, Array[(Double, Long)], Array[Array[Boolean]]) => Array[(Int, Array[Array[(Long, Double)]])],

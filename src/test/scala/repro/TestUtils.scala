@@ -9,6 +9,9 @@ import repro.core.search.LocalSearch
 /** Shared helpers for unit and integration tests. */
 object TestUtils {
 
+  /** The six measures, with the parameters the suites test them under. */
+  val measures: Seq[Measure] = Seq(Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
+
   /** Small in-memory random-walk trajectories (no Spark). */
   def randomTrajs(
       n: Int,
@@ -95,14 +98,11 @@ object TestUtils {
   ): RPTrie =
     RPTrie.build(trajs, grid, measure, RPTrie.selectPivots(trajs, measure, np, 10, 42L), optimized)
 
-  /** One round of `Repose.twoRoundTopK` run in turn over in-memory
-    * partitions (p, trie, trajectories): a partition answers query qi at k,
-    * bounded by bounds(qi), where searched(qi)(p), and returns an empty list
-    * where not.
+  /** One round of `Repose.twoRoundTopK`, in turn over in-memory partitions
+    * (p, trie, trajectories); a list it does not search is empty.
     */
-  def runRound(parts: Seq[(Int, RPTrie, Array[Trajectory])], qs: Array[Array[Point]])(
-      k: Int, bounds: Array[(Double, Long)], searched: Array[Array[Boolean]],
-  ): Array[(Int, Array[Array[(Long, Double)]])] =
+  def runRound(parts: Seq[(Int, RPTrie, Array[Trajectory])], qs: Array[Array[Point]])(k: Int,
+      bounds: Array[(Double, Long)], searched: Array[Array[Boolean]]): Array[(Int, Array[Array[(Long, Double)]])] =
     parts.map { case (p, trie, ts) =>
       p -> Array.tabulate(qs.length) { qi =>
         if (searched(qi)(p)) LocalSearch.topK(trie, ts, qs(qi), k, bound = bounds(qi))

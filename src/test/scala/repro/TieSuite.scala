@@ -19,9 +19,6 @@ class TieSuite extends SparkSpec {
   private val queries = Array(trajs(6).points, TestUtils.randomQuery(8, seed = 409L))
   private val ks = Seq(1, 5, 11)
 
-  private val measures: Seq[Measure] = Seq(
-    Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
-
   /** Checks `answers(k)`, the top-k of each query, against brute force. */
   private def assertExact(m: Measure)(answers: Int => Array[Array[(Long, Double)]]): Unit =
     for (k <- ks; (q, got) <- queries.zip(answers(k)))
@@ -29,7 +26,7 @@ class TieSuite extends SparkSpec {
 
   for (st <- Seq(Heterogeneous, Homogeneous, RandomPartitioning); parts <- Seq(1, 4, 16)) {
     test(s"REPOSE breaks distance ties by id: ${st.name}, $parts partitions") {
-      measures.foreach { m =>
+      TestUtils.measures.foreach { m =>
         val cfg = ReposeConfig(delta = 1.0, numPartitions = parts, strategy = st)
         val idx = Repose.build(spark, rdd, m, cfg)
         try assertExact(m)(idx.queryBatch(queries, _)) finally idx.unpersist()
@@ -38,7 +35,7 @@ class TieSuite extends SparkSpec {
   }
 
   test("LS breaks distance ties by id") {
-    measures.foreach { m =>
+    TestUtils.measures.foreach { m =>
       val idx = LinearSearch.build(rdd, m, 4)
       try assertExact(m)(idx.queryBatch(queries, _)) finally idx.unpersist()
     }

@@ -13,9 +13,6 @@ import repro.core.partition.{Heterogeneous, Homogeneous, RandomPartitioning}
   */
 class BatchPropertySuite extends SparkSpec {
 
-  private val measures: Seq[Measure] = Seq(
-    Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
-
   for (st <- Seq(Heterogeneous, Homogeneous, RandomPartitioning); parts <- Seq(1, 5, 16)) {
     test(s"queryBatch equals brute force on random data: ${st.name}, $parts partitions") {
       val rnd = new Random(31L * parts + st.name.hashCode)
@@ -26,7 +23,7 @@ class BatchPropertySuite extends SparkSpec {
       val qs = Array.fill(3)(TestUtils.randomQuery(1 + rnd.nextInt(12), seed = rnd.nextLong())) :+
         trajs(rnd.nextInt(trajs.length)).points
       val ks = Seq(1, 2 + rnd.nextInt(10), 12 + rnd.nextInt(40), trajs.length + 1)
-      measures.foreach { m =>
+      TestUtils.measures.foreach { m =>
         val cfg = ReposeConfig(delta = if (rnd.nextBoolean()) 0.5 else 1.0, numPartitions = parts, strategy = st)
         val idx = Repose.build(spark, data, m, cfg)
         try for (k <- ks; (q, got) <- qs.zip(idx.queryBatch(qs, k))) withClue(s"${m.name}, k = $k: ") {

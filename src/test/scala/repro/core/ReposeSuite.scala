@@ -19,10 +19,7 @@ class ReposeSuite extends SparkSpec {
   private val trajs = TestUtils.randomTrajs(500, maxLen = 14, seed = 149L)
   private def rdd = spark.sparkContext.parallelize(trajs.toIndexedSeq, 8)
 
-  private val measures: Seq[Measure] = Seq(
-    Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
-
-  for (m <- measures) {
+  for (m <- TestUtils.measures) {
     test(s"distributed top-k equals brute force (${m.name})") {
       val cfg = ReposeConfig(delta = 1.0, numPartitions = 6)
       val idx = Repose.build(spark, rdd, m, cfg)
@@ -61,12 +58,11 @@ class ReposeSuite extends SparkSpec {
     } finally idx.unpersist()
   }
 
-  // The paper counts per-label nodes: one per run label, plus the root.
   test("optimized trie reduces total node count for Hausdorff (Fig. 7 effect)") {
     val idx = Repose.build(spark, rdd, Hausdorff, ReposeConfig(delta = 1.0, numPartitions = 4))
     try idx.rdd.collect().foreach { rp =>
       val plain = RPTrie.build(rp.trajs, idx.grid, Hausdorff, idx.pivots, optimized = false)
-      assert(rp.index.numLabels <= plain.numLabels)
+      assert(rp.index.numLabels <= plain.numLabels) // per-label nodes, as the paper counts
     } finally idx.unpersist()
   }
 

@@ -13,15 +13,11 @@ import repro.core.search.TopK
 class TwoRoundSuite extends AnyFunSuite {
 
   private val P = 5
-  private val measures: Seq[Measure] = Seq(
-    Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
   private val datasets = Seq(
     "random" -> TestUtils.randomTrajs(80, maxLen = 12, seed = 431L),
     "tied" -> TestUtils.tiedTrajs(40, seed = 433L))
 
-  private type Rows = Array[(Int, Array[Array[(Long, Double)]])]
-
-  for ((name, trajs) <- datasets; m <- measures) {
+  for ((name, trajs) <- datasets; m <- TestUtils.measures) {
     test(s"twoRoundTopK equals brute force and searches what needsRound2 marks: $name, ${m.name}") {
       val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
       val parts = (0 until P).map { p =>
@@ -31,15 +27,13 @@ class TwoRoundSuite extends AnyFunSuite {
       val qs = Array(TestUtils.randomQuery(8, seed = 439L), trajs(7).points)
       // k = 3·P: round 1 asks for k₁ = 3 and its union is the P full lists.
       for (k <- Seq(1, 3 * P, trajs.length + 1)) withClue(s"k = $k: ") {
-        val calls = Seq.newBuilder[(Int, Array[(Double, Long)], Array[Array[Boolean]], Rows)]
+        val calls = Seq.newBuilder[(Int, Array[(Double, Long)], Array[Array[Boolean]], Array[(Int, Array[Array[(Long, Double)]])])]
         val got = Repose.twoRoundTopK(qs.length, k, P) { (kr, bounds, searched) =>
           val rows = TestUtils.runRound(parts, qs)(kr, bounds, searched)
-          calls += ((kr, bounds, searched, rows))
-          rows
+          calls += ((kr, bounds, searched, rows)); rows
         }
         val Seq((k1, bounds1, searched1, first), (k2, bounds, searched, _)) = calls.result()
-        assert(k1 == (k + P - 1) / P && k2 == k)
-        assert(bounds1.forall(_ == TopK.Unbounded) && searched1.forall(_.forall(identity)))
+        assert(k1 == (k + P - 1) / P && k2 == k && bounds1.forall(_ == TopK.Unbounded) && searched1.flatten.forall(identity))
         for (qi <- qs.indices) {
           assert(bounds(qi) == TopK.boundOf(k, TopK.merge(k, first.iterator.map(_._2(qi)))))
           first.foreach { case (p, lists) => assert(searched(qi)(p) == Repose.needsRound2(lists(qi), k1, bounds(qi))) }

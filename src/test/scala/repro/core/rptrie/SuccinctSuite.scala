@@ -23,9 +23,6 @@ class SuccinctSuite extends AnyFunSuite {
   private val fineGrid = ZGrid.fit(MBR(0, 0, 10, 10), 0.25)
   private val trajs = TestUtils.randomTrajs(120, maxLen = 12, seed = 131L)
 
-  private val measures: Seq[Measure] = Seq(
-    Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
-
   private def children(t: RPTrie, v: Int): Seq[(Int, Int)] = {
     val buf = mutable.ArrayBuffer.empty[(Int, Int)]
     t.foreachChild(v)((z, c) => buf += ((z, c)))
@@ -88,7 +85,7 @@ class SuccinctSuite extends AnyFunSuite {
     ("EDR", true) -> (0x1934d72dcf3538a8L, 0x6a3e0ee976cec013L),
   )
 
-  for (m <- measures; opt <- Seq(false, true)) {
+  for (m <- TestUtils.measures; opt <- Seq(false, true)) {
     test(s"default and all-sparse encodings traverse identically (${m.name}, optimized=$opt)") {
       val a = TestUtils.trie(trajs, grid, m, np = 3, optimized = opt)
       assertEquivalent(a, TestUtils.trie(trajs, grid, m, np = 3, optimized = opt))

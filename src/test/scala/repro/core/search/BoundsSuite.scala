@@ -18,9 +18,6 @@ class BoundsSuite extends AnyFunSuite {
   private val trajs = TestUtils.randomTrajs(60, maxLen = 12, seed = 61L)
   private val q = TestUtils.randomQuery(8, seed = 67L)
 
-  private val measures: Seq[Measure] = Seq(
-    Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
-
   /** All tids in the subtree of each node. */
   private def subtreeTids(trie: RPTrie): Map[Int, Set[Int]] = {
     val out = mutable.Map.empty[Int, Set[Int]]
@@ -53,7 +50,7 @@ class BoundsSuite extends AnyFunSuite {
     go(trie.root, rootExt)
   }
 
-  for (m <- measures) {
+  for (m <- TestUtils.measures) {
     val trie = TestUtils.trie(trajs, grid, m, np = 3,
       optimized = m.orderIndependent)
     val ops = BoundsOps.forMeasure(m, grid, q)

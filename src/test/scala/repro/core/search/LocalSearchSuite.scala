@@ -11,9 +11,6 @@ import repro.core._
   */
 class LocalSearchSuite extends AnyFunSuite {
 
-  private val measures: Seq[Measure] = Seq(
-    Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
-
   private val trajs = TestUtils.randomTrajs(150, maxLen = 14, seed = 71L)
   private val queries = Seq(
     TestUtils.randomQuery(6, seed = 73L),
@@ -32,7 +29,7 @@ class LocalSearchSuite extends AnyFunSuite {
   )
 
   for {
-    m <- measures
+    m <- TestUtils.measures
     optimized <- Seq(false, true)
     (label, qs) <- querySets
     k <- Seq(1, 5, 20)
@@ -59,7 +56,7 @@ class LocalSearchSuite extends AnyFunSuite {
   )
 
   for {
-    m <- measures
+    m <- TestUtils.measures
     optimized <- Seq(false, true)
     (label, qs) <- tiedQuerySets
   } {
@@ -136,7 +133,7 @@ class LocalSearchSuite extends AnyFunSuite {
   test("a one-trajectory trie pops the root and its run end, extending each label once") {
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 0.25)
     val one = trajs.take(1)
-    for (m <- measures; optimized <- Seq(false, true)) {
+    for (m <- TestUtils.measures; optimized <- Seq(false, true)) {
       val trie = TestUtils.trie(one, grid, m, optimized = optimized)
       assert(trie.numNodes == 2 && trie.numLabels > 1)
       val stats = new LocalSearch.Stats
@@ -149,7 +146,7 @@ class LocalSearchSuite extends AnyFunSuite {
 
   test("cascade and abandon counters agree with the heap") {
     val grid = ZGrid.fit(MBR(0, 0, 10, 10), 1.0)
-    for (m <- measures; k <- Seq(1, 5, 20, trajs.length)) {
+    for (m <- TestUtils.measures; k <- Seq(1, 5, 20, trajs.length)) {
       val trie = TestUtils.trie(trajs, grid, m, np = 3)
       for (q <- queries) {
         val s = new LocalSearch.Stats

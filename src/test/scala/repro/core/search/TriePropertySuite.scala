@@ -17,9 +17,6 @@ import repro.core.rptrie.RPTrie
   */
 class TriePropertySuite extends AnyFunSuite {
 
-  private val measures: Seq[Measure] = Seq(
-    Hausdorff, Frechet, DTW, ERP(Point(5, 5)), LCSS(1.0), EDR(1.0))
-
   // Three seeds. Each is named after one of the child encodings the trie had
   // before it kept only the sparse one, which keeps the cases' names; the
   // trie is built the same under every label, and `all-sparse` keeps seed 42.
@@ -82,7 +79,7 @@ class TriePropertySuite extends AnyFunSuite {
   }
 
   for {
-    m <- measures
+    m <- TestUtils.measures
     optimized <- Seq(false, true)
     (label, seed) <- seeds
   } {
@@ -116,7 +113,7 @@ class TriePropertySuite extends AnyFunSuite {
     off <- Gen.oneOf(-1L, 0L, 1L, Long.MinValue, Long.MaxValue)
   } yield (c, pick, off)
 
-  for (m <- measures; optimized <- Seq(false, true)) {
+  for (m <- TestUtils.measures; optimized <- Seq(false, true)) {
     test(s"search from an admission bound returns the brute-force pairs up to it: ${m.name} optimized=$optimized") {
       check(Prop.forAll(boundCases) { case ((trajs, q, k, delta), pick, off) =>
         val grid = ZGrid.fit(MBR(0, 0, 10, 10), delta)
