@@ -122,9 +122,8 @@ object LocalSearchBench {
       (ms, answers)
     }
     val pool = Executors.newFixedThreadPool(Threads)
-    // Both rounds of `Repose.twoRoundTopK`, each one task per trie p, whose
-    // counters go to r1(p) and r2(p). Returns the answers and the number of
-    // (query, trie) pairs round 2 searched.
+    // `Repose.twoRoundTopK`, each round one task per trie p counting into r1(p)
+    // or r2(p): the answers and the (query, trie) pairs round 2 searched.
     def batch(r1: Array[LocalSearch.Stats], r2: Array[LocalSearch.Stats]): (Array[Array[(Long, Double)]], Int) = {
       val dq = qs.map(LocalSearch.pivotDistances(measure, pivots, _))
       val roundStats = Iterator(r1, r2)

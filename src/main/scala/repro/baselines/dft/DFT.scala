@@ -23,9 +23,7 @@ import repro.core.search.TopK
   */
 object DFT {
 
-  /** Per-partition segment index: packed R-tree over the segment MBRs and
-    * each segment's tid.
-    */
+  /** Per-partition segment index: packed R-tree over segment MBRs + their tids. */
   final case class SegPart(tree: RTree, tids: Array[Long])
 
   final class Index(
@@ -56,12 +54,20 @@ object DFT {
       val qB = sc.broadcast(q)
       val countsB = sc.broadcast(segCounts)
       try ThresholdSearch.doubling(ThresholdSearch.initialTheta(samplePool, measure, q, k), k) { th =>
-        // A trajectory is a candidate when every one of its segments is hit.
-        val candidates = segParts.flatMap { part =>
-          val hits = scala.collection.mutable.HashMap.empty[Long, Int]
-          part.tree.searchWithin(qB.value, th)(e => hits.updateWith(part.tids(e))(c => Some(c.getOrElse(0) + 1)))
-          hits.iterator
-        }.reduceByKey(_ + _).filter { case (tid, cnt) => cnt == countsB.value(tid) }.keys.collect().toSet
+        val candidates = segParts
+          .flatMap { part =>
+            val hits = scala.collection.mutable.HashMap.empty[Long, Int]
+            part.tree.searchWithin(qB.value, th) { e =>
+              val t = part.tids(e)
+              hits.update(t, hits.getOrElse(t, 0) + 1)
+            }
+            hits.iterator
+          }
+          .reduceByKey(_ + _)
+          .filter { case (tid, cnt) => cnt == countsB.value(tid) }
+          .keys
+          .collect()
+          .toSet
         // Fewer than k candidates: double θ without an exact step.
         if (candidates.size < k) Array.empty[(Long, Double)]
         else {

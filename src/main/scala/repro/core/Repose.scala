@@ -56,7 +56,6 @@ object Repose {
       val measure: Measure,
       val grid: ZGrid,
       val pivots: Array[Array[Point]],
-      val cfg: ReposeConfig,
   ) extends Serializable {
 
     /** Validates the batch and pairs each query with its distances to the
@@ -271,6 +270,6 @@ object Repose {
       }
       .persist(StorageLevel.MEMORY_ONLY)
     rdd.count() // materialize
-    new Index(rdd, measure, grid, pivots, cfg)
+    new Index(rdd, measure, grid, pivots)
   }
 }

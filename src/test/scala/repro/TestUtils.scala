@@ -98,9 +98,7 @@ object TestUtils {
   ): RPTrie =
     RPTrie.build(trajs, grid, measure, RPTrie.selectPivots(trajs, measure, np, 10, 42L), optimized)
 
-  /** One round of `Repose.twoRoundTopK`, in turn over in-memory partitions
-    * (p, trie, trajectories); a list it does not search is empty.
-    */
+  /** A `Repose.twoRoundTopK` round over in-memory (p, trie, trajectories). */
   def runRound(parts: Seq[(Int, RPTrie, Array[Trajectory])], qs: Array[Array[Point]])(k: Int,
       bounds: Array[(Double, Long)], searched: Array[Array[Boolean]]): Array[(Int, Array[Array[(Long, Double)]])] =
     parts.map { case (p, trie, ts) =>

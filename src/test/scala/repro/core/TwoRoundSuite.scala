@@ -5,10 +5,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtils
 import repro.core.search.TopK
 
-/** `Repose.twoRoundTopK`, the plan of `queryBatch`, run without Spark over
-  * in-memory tries, one per id-mod-P slice: it must return the brute-force
-  * top-k, and round 2 must search exactly the partitions whose round-1 list
-  * `needsRound2` marks under the merged round-1 bound.
+/** `Repose.twoRoundTopK` without Spark, over one trie per id-mod-P slice:
+  * brute-force answers, and round 2 searches what `needsRound2` marks.
   */
 class TwoRoundSuite extends AnyFunSuite {
 
