@@ -46,9 +46,7 @@ object LinearSearch {
   ): Index = {
     val mbr = Repose.datasetMbr(trajs)
     val assigned = GlobalPartitioning.assign(trajs, RandomPartitioning, numPartitions, mbr)
-    val rdd = GlobalPartitioning
-      .partitioned(assigned, numPartitions)
-      .mapPartitions(it => Iterator.single(it.toArray))
+    val rdd = GlobalPartitioning.partitioned(assigned, numPartitions)
       .persist(StorageLevel.MEMORY_ONLY)
     rdd.count()
     new Index(rdd, measure)

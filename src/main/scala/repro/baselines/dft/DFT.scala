@@ -139,7 +139,7 @@ object DFT {
         val segs = trajs.flatMap { t =>
           segments(t).map { case (a, b, tid) => (zCentroid(a, b), (tid, segMbr(a, b))) }
         }
-        val total = segs.count()
+        val total = segCountRows.iterator.map(_._2.toLong).sum
         segs.sortByKey().values.zipWithIndex().map { case (row, idx) =>
           (math.min(numPartitions - 1, (idx * numPartitions / math.max(total, 1L)).toInt), row)
         }

@@ -5,16 +5,17 @@ import org.apache.spark.storage.StorageLevel
 
 import repro.baselines.ThresholdSearch
 import repro.core.{MBR, Measure, Point, Repose, Trajectory, Frechet, DTW}
-import repro.core.partition.{GlobalPartitioning, IdPartitioner}
+import repro.core.partition.GlobalPartitioning
 import repro.core.search.TopK
 
 /** DITA baseline (Shang, Li, Bao — SIGMOD'18), simplified per §VII-A / §VIII:
   * each trajectory is represented by its first point, last point, and up to
   * N_L = 32 high-neighbor-distance pivot points; the local index is a two-level
   * trie (first-point cell → last-point cell) whose leaves hold per-trajectory
-  * entries with the pivot MBR. Global partitioning groups trajectories with
-  * close first/last points (homogeneous); Heter-DITA (Table VIII) deals the
-  * same sorted order round-robin instead.
+  * entries with the pivot MBR. Global partitioning ranks trajectories by
+  * (first-point cell, last-point cell, id) with REPOSE's
+  * `GlobalPartitioning.byRank` and cuts the ranks into blocks (homogeneous);
+  * Heter-DITA (Table VIII) deals them round-robin instead.
   *
   * Top-k follows the paper's description: estimate a threshold from a C·k
   * sample, repeatedly halve it while the index counts more than C·k
@@ -35,7 +36,7 @@ object DITA {
   /** Grid cells per side of the first/last-point trie levels. */
   private final val CellsPerSide = 32
 
-  final case class Entry(tid: Int, first: Point, last: Point, pmbr: MBR, len: Int)
+  final case class Entry(tid: Int, first: Point, last: Point, pmbr: MBR)
   final case class Node2(lastMbr: MBR, entries: Array[Entry])
   final case class Node1(firstMbr: MBR, children: Array[Node2])
   final case class Part(trajs: Array[Trajectory], roots: Array[Node1])
@@ -152,48 +153,36 @@ object DITA {
       cx * CellsPerSide + cy
     }
 
-    // The ids' collect counts the data and rejects a repeated id.
-    val total = GlobalPartitioning.distinctSorted(trajs.map(_.id).collect()).length.toLong
-    val sorted = trajs
-      .map(t => ((cell(t.points.head), cell(t.points.last), t.id), t))
-      .sortByKey()
-      .values
-      .zipWithIndex()
-    val assigned = sorted.map { case (t, idx) =>
-      val pid =
-        if (roundRobin) (idx % numPartitions).toInt
-        else math.min(numPartitions - 1, (idx * numPartitions / math.max(total, 1L)).toInt)
-      (pid, t)
-    }
-    val parts = assigned
-      .partitionBy(new IdPartitioner(numPartitions))
-      .values
-      .mapPartitions { it =>
-        val arr = it.toArray
-        if (arr.isEmpty) Iterator.empty
-        else {
-          val entries = arr.zipWithIndex.map { case (t, i) =>
-            (cell(t.points.head), cell(t.points.last),
-             Entry(i, t.points.head, t.points.last, pivotMbr(t), t.length))
-          }
-          val roots = entries
-            .groupBy(_._1)
-            .map { case (_, g1) =>
-              val children = g1
-                .groupBy(_._2)
-                .map { case (_, g2) =>
-                  val es = g2.map(_._3)
-                  Node2(MBR(es.map(_.last)), es)
-                }
-                .toArray
-              Node1(MBR(g1.map(_._3.first)), children)
-            }
-            .toArray
-          Iterator.single(Part(arr, roots))
+    // One collect of each id with its (first cell, last cell) key; REPOSE's
+    // rank placement orders by (key, id) and rejects a repeated id.
+    val (ids, keys) = trajs
+      .map(t => (t.id, Array(cell(t.points.head), cell(t.points.last))))
+      .collect().unzip
+    val assigned = GlobalPartitioning.byRank(trajs, ids, keys, roundRobin, numPartitions)
+    val parts = GlobalPartitioning
+      .partitioned(assigned, numPartitions)
+      .map { arr =>
+        val entries = arr.zipWithIndex.map { case (t, i) =>
+          (cell(t.points.head), cell(t.points.last),
+           Entry(i, t.points.head, t.points.last, pivotMbr(t)))
         }
+        val roots = entries
+          .groupBy(_._1)
+          .map { case (_, g1) =>
+            val children = g1
+              .groupBy(_._2)
+              .map { case (_, g2) =>
+                val es = g2.map(_._3)
+                Node2(MBR(es.map(_.last)), es)
+              }
+              .toArray
+            Node1(MBR(g1.map(_._3.first)), children)
+          }
+          .toArray
+        Part(arr, roots)
       }
       .persist(StorageLevel.MEMORY_ONLY)
     parts.count()
-    new Index(parts, measure, ThresholdSearch.samplePool(trajs, total), total)
+    new Index(parts, measure, ThresholdSearch.samplePool(trajs, ids.length), ids.length)
   }
 }

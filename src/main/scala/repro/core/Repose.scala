@@ -32,8 +32,8 @@ final case class ReposeConfig(
   *
   * `build` computes the global grid, selects global pivots on the driver,
   * assigns partitions with the configured strategy through a custom
-  * `Partitioner`, and constructs one RP-Trie per partition inside
-  * `mapPartitions` — the `RpTrieRDD = RDD[RpTraj]` of §V-C. `query` runs the
+  * `Partitioner`, and constructs one RP-Trie over each non-empty partition's
+  * trajectory array — the `RpTrieRDD = RDD[RpTraj]` of §V-C. `query` runs the
   * best-first local search in every partition and merges the per-partition
   * top-k on the driver with `collect`; `queryBatch` does so twice, the
   * second round bounded by the first and run only in the partitions the
@@ -257,17 +257,10 @@ object Repose {
       }
 
     val assigned = GlobalPartitioning.assign(trajs, cfg.strategy, cfg.numPartitions, mbr)
-    val part = GlobalPartitioning.partitioned(assigned, cfg.numPartitions)
-    val rdd: RpTrieRDD = part
-      .mapPartitions { it =>
-        val arr = it.toArray
-        if (arr.isEmpty) Iterator.empty
-        else {
-          // Partition-local ids are array indices; global ids live in Trajectory.id.
-          val trie = RPTrie.build(arr, grid, measure, pivots)
-          Iterator.single(RpTraj(arr, trie))
-        }
-      }
+    // Partition-local ids are array indices; global ids live in Trajectory.id.
+    val rdd: RpTrieRDD = GlobalPartitioning
+      .partitioned(assigned, cfg.numPartitions)
+      .map(arr => RpTraj(arr, RPTrie.build(arr, grid, measure, pivots)))
       .persist(StorageLevel.MEMORY_ONLY)
     rdd.count() // materialize
     new Index(rdd, measure, grid, pivots)

@@ -109,11 +109,8 @@ object GlobalPartitioning {
     * Throws `IllegalArgumentException` on the driver if an id repeats.
     *
     * Heterogeneous/homogeneous collect each trajectory's finest cell sequence
-    * in one job, cluster on the driver (`clusterKeys`) and rank the ids by
-    * (cluster key, id): heterogeneous deals the ranks round-robin,
-    * homogeneous cuts contiguous equal-count blocks. The returned RDD maps
-    * every trajectory through the id → partition table, so the only shuffle
-    * is `partitioned`'s. Random hashes the id.
+    * in one job, cluster on the driver (`clusterKeys`) and place by `byRank`:
+    * heterogeneous deals, homogeneous cuts blocks. Random hashes the id.
     */
   def assign(
       trajs: RDD[Trajectory],
@@ -129,30 +126,50 @@ object GlobalPartitioning {
       }
     case _ =>
       val (ids, finest) = trajs.map(t => (t.id, cellSeq(t, mbr, MaxPrecision))).collect().unzip
-      val sortedIds = distinctSorted(ids)
-      val keys = clusterKeys(finest, numPartitions)
-      val n = ids.length
-      val byKey = Array.range(0, n).sortWith { (i, j) =>
-        val c = java.util.Arrays.compare(keys(i), keys(j))
-        c < 0 || (c == 0 && ids(i) < ids(j))
-      }
-      // pidOf(r) is the partition of sortedIds(r).
-      val pidOf = new Array[Int](n)
-      var rank = 0
-      while (rank < n) {
-        val pid =
-          if (strategy == Heterogeneous) rank % numPartitions
-          else math.min(numPartitions - 1, (rank.toLong * numPartitions / n).toInt)
-        pidOf(java.util.Arrays.binarySearch(sortedIds, ids(byKey(rank)))) = pid
-        rank += 1
-      }
-      trajs.map(t => (pidOf(java.util.Arrays.binarySearch(sortedIds, t.id)), t))
+      byRank(trajs, ids, clusterKeys(finest, numPartitions), strategy == Heterogeneous, numPartitions)
   }
 
-  /** Partition an assigned RDD with the custom `Partitioner` and drop keys. */
+  /** Rank placement on the driver, shared by REPOSE and DITA: rejects a
+    * repeated id (`distinctSorted`), ranks the N trajectories by (key, id),
+    * `keys(i)` being the key of id `ids(i)`, and gives rank r the partition
+    * r mod P if `deal`, else ⌊r·P/N⌋ (equal-count blocks). The returned RDD
+    * maps every trajectory through the id → partition table, so the only
+    * shuffle is `partitioned`'s.
+    */
+  def byRank(
+      trajs: RDD[Trajectory],
+      ids: Array[Long],
+      keys: Array[Array[Int]],
+      deal: Boolean,
+      numPartitions: Int,
+  ): RDD[(Int, Trajectory)] = {
+    val sortedIds = distinctSorted(ids)
+    val n = ids.length
+    val byKey = Array.range(0, n).sortWith { (i, j) =>
+      val c = java.util.Arrays.compare(keys(i), keys(j))
+      c < 0 || (c == 0 && ids(i) < ids(j))
+    }
+    // pidOf(r) is the partition of sortedIds(r).
+    val pidOf = new Array[Int](n)
+    var rank = 0
+    while (rank < n) {
+      val pid =
+        if (deal) rank % numPartitions
+        else math.min(numPartitions - 1, (rank.toLong * numPartitions / n).toInt)
+      pidOf(java.util.Arrays.binarySearch(sortedIds, ids(byKey(rank)))) = pid
+      rank += 1
+    }
+    trajs.map(t => (pidOf(java.util.Arrays.binarySearch(sortedIds, t.id)), t))
+  }
+
+  /** Shuffle an assigned RDD with the custom `Partitioner`: one array of
+    * trajectories per non-empty partition.
+    */
   def partitioned(
       assigned: RDD[(Int, Trajectory)],
       numPartitions: Int,
-  ): RDD[Trajectory] =
-    assigned.partitionBy(new IdPartitioner(numPartitions)).values
+  ): RDD[Array[Trajectory]] =
+    assigned.partitionBy(new IdPartitioner(numPartitions)).mapPartitions { it =>
+      if (it.hasNext) Iterator.single(it.map(_._2).toArray) else Iterator.empty
+    }
 }

@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +17,33 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Spark jobs started by `f`, told apart by a local property. A marker job
+    * run afterwards bounds the count: the listener bus delivers events in
+    * order, so once the marker's start arrives every job of `f` has been seen.
+    */
+  def jobsRunBy(f: => Unit): Int = {
+    val sc = spark.sparkContext
+    val tag = "repro.test.jobs"
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(tag))).foreach(seen.add)
+    }
+    sc.addSparkListener(listener)
+    try {
+      try {
+        sc.setLocalProperty(tag, "counted")
+        f
+        sc.setLocalProperty(tag, "marker")
+        sc.parallelize(Seq(1), 1).count()
+      } finally sc.setLocalProperty(tag, null)
+      val deadline = System.nanoTime() + 30L * 1000000000L
+      while (!seen.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(seen.contains("marker"), "the listener never saw the marker job")
+      seen.toArray.count(_ == "counted")
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {

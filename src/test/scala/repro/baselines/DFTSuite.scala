@@ -109,6 +109,15 @@ class DFTSuite extends SparkSpec {
     } finally idx.unpersist()
   }
 
+  // The MBR pass, the (id, segment count) collect, sortByKey's range sample,
+  // zipWithIndex's count, the segment and dual-index materializing counts,
+  // and the sample pool's two jobs.
+  test("DFT build runs at most 8 Spark jobs") {
+    var idx: DFT.Index = null
+    val jobs = jobsRunBy { idx = DFT.build(rdd, Hausdorff, numPartitions = 4) }
+    try assert(jobs >= 1 && jobs <= 8, s"$jobs jobs") finally idx.unpersist()
+  }
+
   test("DFT query rejects an empty or non-finite query and k < 1 on the driver") {
     val idx = DFT.build(rdd, Frechet, numPartitions = 4)
     try {

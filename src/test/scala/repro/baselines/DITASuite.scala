@@ -35,6 +35,56 @@ class DITASuite extends SparkSpec {
     }
   }
 
+  // Shuffle dependencies in the lineage of `rdd`.
+  private def shuffles(rdd: org.apache.spark.rdd.RDD[_]): Int =
+    rdd.dependencies.map { d =>
+      (if (d.isInstanceOf[org.apache.spark.ShuffleDependency[_, _, _]]) 1 else 0) + shuffles(d.rdd)
+    }.sum
+
+  // The placement written out independently: rank by (first-point cell,
+  // last-point cell, id) on the 32 × 32 grid over the data's MBR; round-robin
+  // deals rank r to r mod P, homogeneous gives it ⌊r·P/N⌋.
+  private def expectedParts(p: Int, roundRobin: Boolean): Map[Int, Set[Long]] = {
+    val mbr = trajs.map(_.mbr).reduce(_ union _)
+    val u = math.max(math.max(mbr.width, mbr.height), 1e-9)
+    def cell(pt: Point): Int = {
+      def axis(v: Double, lo: Double) = math.min(31, math.max(0, ((v - lo) / u * 32).toInt))
+      axis(pt.x, mbr.minX) * 32 + axis(pt.y, mbr.minY)
+    }
+    trajs.sortBy(t => (cell(t.points.head), cell(t.points.last), t.id)).zipWithIndex
+      .groupBy { case (_, r) => if (roundRobin) r % p else r * p / trajs.length }
+      .map { case (pid, g) => pid -> g.map(_._1.id).toSet }
+  }
+
+  for (roundRobin <- Seq(false, true)) {
+    val placement = if (roundRobin) "round-robin" else "homogeneous"
+
+    // The MBR pass, the (id, key) collect, the materializing count, and the
+    // sample pool's two jobs; the trajectories are shuffled once.
+    test(s"DITA build runs at most 5 Spark jobs ($placement)") {
+      var idx: DITA.Index = null
+      val jobs = jobsRunBy {
+        idx = DITA.build(rdd, Frechet, numPartitions = 4, roundRobin = roundRobin)
+      }
+      try {
+        assert(jobs >= 1 && jobs <= 5, s"$jobs jobs")
+        assert(shuffles(idx.parts) == 1)
+      } finally idx.unpersist()
+    }
+
+    for (p <- Seq(4, 7)) {
+      test(s"DITA places each trajectory by its (first cell, last cell, id) rank ($placement, P = $p)") {
+        val idx = DITA.build(rdd, Frechet, numPartitions = p, roundRobin = roundRobin)
+        try {
+          val got = idx.parts
+            .mapPartitionsWithIndex((pid, it) => it.map(part => pid -> part.trajs.map(_.id).toSet))
+            .collect().toMap
+          assert(got == expectedParts(p, roundRobin))
+        } finally idx.unpersist()
+      }
+    }
+  }
+
   test("DITA rejects a repeated id on the driver, naming the smallest") {
     val dup = trajs ++ Seq(trajs(250).copy(points = trajs(3).points), trajs(17))
     val e = intercept[IllegalArgumentException] {

@@ -63,10 +63,35 @@ class PartitioningSuite extends SparkSpec {
     val assigned = GlobalPartitioning.assign(data, Heterogeneous, 6, mbr)
     val placed = GlobalPartitioning.partitioned(assigned, 6)
     assert(placed.getNumPartitions == 6)
-    val check = placed
-      .mapPartitionsWithIndex { (pid, it) => Iterator.single((pid, it.size)) }
+    val want = assigned.map { case (pid, t) => (t.id, pid) }.collect().toMap
+    val got = placed
+      .mapPartitionsWithIndex((pid, it) => it.flatMap(_.map(t => (t.id, pid))))
       .collect()
-    assert(check.map(_._2).sum == 400)
+    assert(got.length == 400)
+    assert(got.toMap == want)
+  }
+
+  // Ten trajectories over three keys, each key shared by several ids given
+  // out of order, so the (key, id) order breaks ties by id.
+  test("byRank ranks by (key, id): dealt ranks land on r mod P, blocks on r·P/N") {
+    val keyOf = Array(2, 0, 1, 0, 2, 1, 0, 2, 1, 0)
+    val ids = Array[Long](40, 13, 7, 2, 31, 55, 90, 8, 21, 60)
+    val rdd = spark.sparkContext.parallelize(
+      ids.toIndexedSeq.map(id => Trajectory(id, Array(Point(0, 0)))), 3)
+    val keys = keyOf.map(Array(_))
+    val ranked = ids.indices.sortBy(i => (keyOf(i), ids(i))).map(ids)
+    for (deal <- Seq(true, false); p <- Seq(3, 4)) {
+      val got = GlobalPartitioning.byRank(rdd, ids, keys, deal, p)
+        .map { case (pid, t) => (t.id, pid) }.collect().toMap
+      val want = ranked.zipWithIndex.map { case (id, r) =>
+        id -> (if (deal) r % p else r * p / ids.length)
+      }.toMap
+      assert(got == want, s"deal = $deal, P = $p")
+    }
+    val e = intercept[IllegalArgumentException] {
+      GlobalPartitioning.byRank(rdd, ids :+ 31L :+ 8L, keys :+ Array(0) :+ Array(1), deal = true, 3)
+    }
+    assert(e.getMessage.contains("trajectory id 8 "), e.getMessage)
   }
 
   test("assignment is deterministic") {
